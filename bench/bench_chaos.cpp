@@ -19,7 +19,6 @@
 //   --replay <path>  parse a schedule file (e.g. a minimized reproducer)
 //                    and run exactly it; exit 1 iff an oracle fires
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -70,8 +69,7 @@ void shrink_and_export(const chaos::StormSchedule& failing,
   const chaos::ShrinkResult result = shrinker.shrink(failing);
   const std::string path =
       "chaos_repro_" + std::to_string(failing.seed) + ".schedule";
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << result.minimal.to_text();
+  write_file(path, result.minimal.to_text());
   std::printf("  wrote %s (%u -> %u events, %u reruns%s)\n", path.c_str(),
               result.original_events, result.minimal_events,
               result.oracle_runs,
@@ -111,7 +109,7 @@ int check_rows(const std::vector<StormRow>& rows) {
   return checks.summarize("chaos");
 }
 
-void write_json(const std::vector<StormRow>& rows, const std::string& path) {
+json::Object results_json(const std::vector<StormRow>& rows) {
   json::Array storms;
   uint32_t total_violations = 0;
   for (const StormRow& row : rows) {
@@ -145,9 +143,7 @@ void write_json(const std::vector<StormRow>& rows, const std::string& path) {
       "with every invariant oracle attached; a violation auto-shrinks "
       "to chaos_repro_<seed>.schedule for bench_chaos --replay";
   root["storms"] = std::move(storms);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << json::Value(std::move(root)).dump(2) << "\n";
-  std::printf("\nwrote %s\n", path.c_str());
+  return root;
 }
 
 int run_replay(const std::string& path) {
@@ -185,38 +181,19 @@ int run_replay(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_chaos.json";
-  std::string export_path;
-  std::string replay_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--export") == 0) {
-      export_path = i + 1 < argc ? argv[++i] : "bench_chaos_export.txt";
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
-      replay_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_chaos [--smoke] [--out path] "
-                   "[--export path] [--replay schedule]\n");
-      return 2;
-    }
-  }
+  const BenchArgs args = parse_args(
+      argc, argv, kFlagSmoke | kFlagOut | kFlagExport | kFlagReplay,
+      "BENCH_chaos.json");
+  const bool smoke = args.smoke;
 
-  if (!replay_path.empty()) return run_replay(replay_path);
+  if (!args.replay_path.empty()) return run_replay(args.replay_path);
 
-  if (!export_path.empty()) {
+  if (!args.export_path.empty()) {
     // Determinism mode: one fixed mid-density storm, full traffic.
     const chaos::StormSchedule schedule = chaos::generate_storm(42, 100);
     chaos::ChaosOrchestrator orch;
     const chaos::StormReport r = orch.run(schedule);
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << r.bundle;
-    std::printf("exported %zu bytes of traces to %s (violations=%u)\n",
-                r.bundle.size(), export_path.c_str(), r.violations);
+    write_export(args.export_path, r.bundle);
     StormRow row;
     row.report = r;
     return check_rows({row});
@@ -253,6 +230,6 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row));
     }
   }
-  write_json(rows, out_path);
+  write_json(args.out, results_json(rows));
   return check_rows(rows);
 }

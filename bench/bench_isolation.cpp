@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -289,8 +288,7 @@ int check_cells(const std::vector<IsoResult>& results) {
   return checks.summarize("isolation");
 }
 
-void write_json(const std::vector<IsoResult>& results,
-                const std::string& path) {
+json::Object results_json(const std::vector<IsoResult>& results) {
   json::Array cells;
   for (const IsoResult& r : results) {
     json::Object c;
@@ -318,43 +316,24 @@ void write_json(const std::vector<IsoResult>& results,
       "baseline; the pressure floor scales with aggressor density so "
       "only growth beyond the expected footprint trips eviction";
   root["cells"] = std::move(cells);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << json::Value(std::move(root)).dump(2) << "\n";
-  std::printf("\nwrote %s\n", path.c_str());
+  return root;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_isolation.json";
-  std::string export_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--export") == 0) {
-      export_path =
-          i + 1 < argc ? argv[++i] : "bench_isolation_export.txt";
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_isolation [--smoke] [--out path] "
-                   "[--export path]\n");
-      return 2;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv,
+                                    kFlagSmoke | kFlagOut | kFlagExport,
+                                    "BENCH_isolation.json");
+  const bool smoke = args.smoke;
 
-  if (!export_path.empty()) {
+  if (!args.export_path.empty()) {
     // Determinism mode: the worst well-behaved cell — unlimited
     // thrashing at density 100 under crun-wamr.
     std::printf("isolation determinism cell: crun-wamr/mem-thrasher/"
                 "d100/no-limits\n");
     IsoResult r = run_cell("crun-wamr", &kAggressors[0], 100, false, true);
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << r.bundle;
-    std::printf("exported %zu bytes of traces to %s\n", r.bundle.size(),
-                export_path.c_str());
+    write_export(args.export_path, r.bundle);
     return check_cells({r});
   }
 
@@ -388,6 +367,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  write_json(results, out_path);
+  write_json(args.out, results_json(results));
   return check_cells(results);
 }

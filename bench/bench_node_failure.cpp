@@ -11,13 +11,10 @@
 // and node-lifecycle traces. The sub-eviction partition must cause zero
 // pod churn.
 //
-// `--export [path]` additionally writes the fault / lifecycle / endpoint /
-// request traces to a file (default bench_node_failure_export.txt) so CI
-// can cmp two invocations byte for byte.
+// `--export <path>` additionally writes the fault / lifecycle / endpoint /
+// request traces to a file so CI can cmp two invocations byte for byte.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -245,10 +242,8 @@ void print_class(const ClassStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string export_path;
-  if (argc > 1 && std::strcmp(argv[1], "--export") == 0) {
-    export_path = argc > 2 ? argv[2] : "bench_node_failure_export.txt";
-  }
+  const std::string export_path =
+      parse_args(argc, argv, kFlagExport).export_path;
 
   std::printf(
       "node-failure: density 400 across %u workers (wasm=crun-wamr, "
@@ -334,10 +329,7 @@ int main(int argc, char** argv) {
     blob += "== endpoints trace ==\n" + r.endpoints_trace;
     blob += "== wasm request trace ==\n" + r.wasm.trace;
     blob += "== python request trace ==\n" + r.py.trace;
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << blob;
-    std::printf("\nexported %zu bytes of traces to %s\n", blob.size(),
-                export_path.c_str());
+    write_export(export_path, blob);
   }
   return checks.summarize("node_failure");
 }

@@ -22,8 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -187,8 +185,7 @@ int check_cells(const std::vector<ScaleResult>& results) {
   return checks.summarize("scale");
 }
 
-void write_json(const std::vector<ScaleResult>& results,
-                const std::string& path) {
+json::Object results_json(const std::vector<ScaleResult>& results) {
   json::Array cells;
   for (const ScaleResult& r : results) {
     json::Object c;
@@ -211,43 +208,24 @@ void write_json(const std::vector<ScaleResult>& results,
       "peak_rss_mb is process-lifetime ru_maxrss at cell end; cells run "
       "ascending so each value is the peak through that cell";
   root["cells"] = std::move(cells);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << json::Value(std::move(root)).dump(2) << "\n";
-  std::printf("\nwrote %s\n", path.c_str());
+  return root;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_scale.json";
-  std::string export_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--export") == 0) {
-      export_path =
-          i + 1 < argc ? argv[++i] : "bench_scale_export.txt";
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_scale [--smoke] [--out path] "
-                   "[--export path]\n");
-      return 2;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv,
+                                    kFlagSmoke | kFlagOut | kFlagExport,
+                                    "BENCH_scale.json");
+  const bool smoke = args.smoke;
 
-  if (!export_path.empty()) {
+  if (!args.export_path.empty()) {
     // Determinism mode: one 10k-pod cell, export the virtual-time bundle.
     std::printf("scale determinism cell: %u pods / %u nodes\n",
                 kDeterminism.pods, kDeterminism.nodes);
     const ScaleResult r =
         run_cell(kDeterminism.pods, kDeterminism.nodes, true);
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << r.bundle;
-    std::printf("exported %zu bytes of traces to %s\n", r.bundle.size(),
-                export_path.c_str());
+    write_export(args.export_path, r.bundle);
     return check_cells({r});
   }
 
@@ -269,6 +247,6 @@ int main(int argc, char** argv) {
       print_cell(results.back());
     }
   }
-  write_json(results, out_path);
+  write_json(args.out, results_json(results));
   return check_cells(results);
 }

@@ -7,14 +7,13 @@
 // shim spawn dominates the runwasi shims at 400, interpreter boot
 // dominates Python, and WAMR-in-crun's engine phase stays negligible.
 //
-// argv[1] (optional) is an export path: per-run Chrome trace JSON plus
-// Prometheus metrics text, byte-identical across same-seed runs — CI runs
-// this bench twice and diffs the files.
+// `--export <path>` writes per-run Chrome trace JSON plus Prometheus
+// metrics text, byte-identical across same-seed runs — CI runs this bench
+// twice and diffs the files.
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,11 +49,13 @@ const obs::PhaseStat* phase_of(const Breakdown& b, const std::string& name) {
 Breakdown run_breakdown(DeployConfig config, uint32_t density,
                         std::string* export_out) {
   Cluster cluster;
-  Status st = cluster.deploy(config, density);
-  assert(st.is_ok());
-  (void)st;
+  const Status st = cluster.deploy(config, density);
   cluster.run();
-  assert(cluster.running_count() == density);
+  if (!st.is_ok() || cluster.running_count() != density) {
+    std::fprintf(stderr, "%s n=%u did not start every pod\n",
+                 k8s::deploy_config_name(config), density);
+    std::exit(1);
+  }
 
   const obs::Tracer& tracer = cluster.obs().tracer;
   Breakdown b;
@@ -116,7 +117,7 @@ void print_breakdown(const Breakdown& b) {
 
 int main(int argc, char** argv) {
   const std::string export_path =
-      argc > 1 ? argv[1] : "bench_startup_breakdown_export.txt";
+      parse_args(argc, argv, kFlagExport).export_path;
   const std::vector<uint32_t> densities = {10, 400};
   std::string export_data;
   std::vector<Breakdown> all;
@@ -126,25 +127,20 @@ int main(int argc, char** argv) {
     for (const uint32_t density : densities) {
       std::printf("running %s n=%u ...\n", k8s::deploy_config_name(config),
                   density);
-      all.push_back(run_breakdown(config, density, &export_data));
+      all.push_back(run_breakdown(
+          config, density, export_path.empty() ? nullptr : &export_data));
       print_breakdown(all.back());
     }
   }
 
-  {
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << export_data;
-  }
-  std::printf("\nexported %zu bytes of trace+metrics to %s\n",
-              export_data.size(), export_path.c_str());
+  if (!export_path.empty()) write_export(export_path, export_data);
 
   const auto get = [&](DeployConfig c, uint32_t d) -> const Breakdown& {
     for (const Breakdown& b : all) {
       if (b.config == c && b.density == d) return b;
     }
-    assert(false && "breakdown not measured");
-    static Breakdown dummy;
-    return dummy;
+    std::fprintf(stderr, "breakdown not measured\n");
+    std::exit(1);
   };
 
   ShapeChecks checks;

@@ -25,8 +25,6 @@
 //                    can cmp two same-seed invocations byte for byte
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -125,7 +123,7 @@ void print_cell(const TierCell& c) {
   std::printf("\n");
 }
 
-void write_json(const std::vector<TierCell>& cells, const std::string& path) {
+json::Object results_json(const std::vector<TierCell>& cells) {
   json::Array arr;
   for (const TierCell& c : cells) {
     json::Object o;
@@ -152,9 +150,7 @@ void write_json(const std::vector<TierCell>& cells, const std::string& path) {
   json::Object root;
   root["bench"] = std::string("tier_sweep");
   root["cells"] = std::move(arr);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << json::Value(std::move(root)).dump(2) << "\n";
-  std::printf("\nwrote %s\n", path.c_str());
+  return root;
 }
 
 const TierCell& find_cell(const std::vector<TierCell>& cells,
@@ -248,34 +244,18 @@ int check_cells(const std::vector<TierCell>& cells, bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_tier.json";
-  std::string export_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--export") == 0) {
-      export_path = i + 1 < argc ? argv[++i] : "bench_tier_export.txt";
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_tier_sweep [--smoke] [--out path] "
-                   "[--export path]\n");
-      return 2;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv,
+                                    kFlagSmoke | kFlagOut | kFlagExport,
+                                    "BENCH_tier.json");
+  const bool smoke = args.smoke;
 
-  if (!export_path.empty()) {
+  if (!args.export_path.empty()) {
     // Determinism mode: the cell where both the shared compile and the
     // cache-hit waiters appear — baseline wasmtime at density 100.
     std::printf("tier determinism cell: crun-wasmtime/baseline/d100\n");
     TierCell cell =
         run_cell(DeployConfig::kCrunWasmtime, Tier::kBaseline, 100, true);
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << cell.bundle;
-    std::printf("exported %zu bytes of traces to %s\n", cell.bundle.size(),
-                export_path.c_str());
+    write_export(args.export_path, cell.bundle);
     ShapeChecks checks;
     checks.check(cell.compile.wasm_ops > 0 && cell.compile.bytecode_bytes > 0,
                  "measured compile nonzero");
@@ -299,6 +279,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  write_json(cells, out_path);
+  write_json(args.out, results_json(cells));
   return check_cells(cells, smoke);
 }

@@ -26,8 +26,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -368,8 +366,8 @@ json::Array curve_json(const std::vector<obs::tsdb::SamplePoint>& points) {
   return arr;
 }
 
-void write_json(const std::vector<TimelineCell>& cells,
-                const AlertScenario& scenario, const std::string& path) {
+json::Object results_json(const std::vector<TimelineCell>& cells,
+                          const AlertScenario& scenario) {
   json::Array arr;
   for (const TimelineCell& c : cells) {
     json::Object o;
@@ -401,9 +399,7 @@ void write_json(const std::vector<TimelineCell>& cells,
   root["bench"] = std::string("timeline");
   root["cells"] = std::move(arr);
   root["alert_scenario"] = std::move(alert);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << json::Value(std::move(root)).dump(2) << "\n";
-  std::printf("\nwrote %s\n", path.c_str());
+  return root;
 }
 
 int check_all(const std::vector<TimelineCell>& cells,
@@ -457,31 +453,15 @@ int check_all(const std::vector<TimelineCell>& cells,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_timeline.json";
-  std::string export_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--export") == 0) {
-      export_path = i + 1 < argc ? argv[++i] : "bench_timeline_export.txt";
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_timeline [--smoke] [--out path] "
-                   "[--export path]\n");
-      return 2;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv,
+                                    kFlagSmoke | kFlagOut | kFlagExport,
+                                    "BENCH_timeline.json");
+  const bool smoke = args.smoke;
 
-  if (!export_path.empty()) {
+  if (!args.export_path.empty()) {
     std::printf("timeline determinism cell: serving-churn scenario\n");
     const AlertScenario s = run_alert_scenario(true);
-    std::ofstream out(export_path, std::ios::binary | std::ios::trunc);
-    out << s.bundle;
-    std::printf("exported %zu bytes to %s\n", s.bundle.size(),
-                export_path.c_str());
+    write_export(args.export_path, s.bundle);
     ShapeChecks checks;
     checks.check(s.fired >= 1 && s.resolved >= 1,
                  "alert fired and resolved in the export run");
@@ -508,6 +488,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const AlertScenario scenario = run_alert_scenario(false);
   print_scenario(scenario);
-  write_json(cells, scenario, out_path);
+  write_json(args.out, results_json(cells, scenario));
   return check_all(cells, scenario);
 }
