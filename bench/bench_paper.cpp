@@ -44,9 +44,11 @@ void table1() {
       {"runC", "1.6.31", "src/oci (Runc)"},
       {"crun", "(modified)", "src/oci (Crun + WAMR integration)"},
       {"WAMR", "2.1.0", "src/wasm + src/wasi (real interpreter + WASI)"},
-      {"WasmEdge", "0.14.0", "src/engines profile over the same interpreter"},
-      {"Wasmer", "4.3.5", "src/engines profile over the same interpreter"},
-      {"Wasmtime", "23.0.1", "src/engines profile (+ shared compile cache)"},
+      {"WasmEdge", "0.14.0",
+       "src/engines profile, baseline tier + compile cache"},
+      {"Wasmer", "4.3.5", "src/engines profile, baseline tier + compile cache"},
+      {"Wasmtime", "23.0.1",
+       "src/engines profile, baseline tier + compile cache"},
       {"Python", "3.x", "src/pylite interpreter + CPython memory profile"},
   };
   std::printf("TABLE I: SOFTWARE STACK FOR THE EVALUATION\n");
@@ -147,8 +149,8 @@ int fig3(const Samples& samples) {
 
 // Fig 4 — same configurations as Fig 3, measured with the Linux `free`
 // command. Paper claims (§IV-B): crun-WAMR uses at least 40.0 % less than
-// the second-best (crun-wasmedge); free reports up to 42 % more than the
-// metrics server.
+// the second-best (crun-wasmedge); free reports more than the metrics
+// server, by up to 42 % (checked for every configuration: C7).
 int fig4(const Samples& samples) {
   print_bars("FIG 4: memory per container, Wasm runtimes in crun (free)",
              samples, kCrunWasm, kDensities,
@@ -177,17 +179,25 @@ int fig4(const Samples& samples) {
                  "density " + std::to_string(d) +
                      ": second-best crun engine on free is crun-wasmedge");
   }
-  // free > metrics, by up to ~42 % (paper §IV-B).
-  double max_ratio = 0;
-  for (const DeployConfig c : kCrunWasm) {
+  // free > metrics, by up to ~42 % (paper §IV-B), for every cell.
+  double min_excess = 1e9;
+  double max_excess = 0;
+  for (const DeployConfig c : kConfigs) {
     for (const uint32_t d : kDensities) {
       const Sample& s = find(samples, c, d);
-      max_ratio = std::max(max_ratio, s.free_mib / s.metrics_mib - 1.0);
+      const double excess = (s.free_mib / s.metrics_mib - 1.0) * 100.0;
+      min_excess = std::min(min_excess, excess);
+      max_excess = std::max(max_excess, excess);
     }
   }
-  checks.check(max_ratio > 0.0 && max_ratio <= 0.42,
-               "free exceeds metrics-server values by up to 42 %", 42.0,
-               max_ratio * 100.0);
+  checks.check(min_excess > 0.0,
+               "free exceeds metrics-server values for all 9 configs at "
+               "every density",
+               0.0, min_excess);
+  checks.check(max_excess <= 42.0,
+               "free exceeds metrics-server values by up to 42 % (all 9 "
+               "configs, every density)",
+               42.0, max_excess);
   return checks.summarize("fig4");
 }
 
@@ -205,7 +215,7 @@ int fig5(const Samples& samples) {
 
   ShapeChecks checks;
   double min_vs_wasmtime = 1e9;
-  double wasmer_sum = 0;
+  double worst_vs_wasmer = 77.53;
   for (const uint32_t d : kDensities) {
     const double ours = find(samples, DeployConfig::kCrunWamr, d).free_mib;
     for (DeployConfig c : {DeployConfig::kShimWasmtime,
@@ -219,18 +229,20 @@ int fig5(const Samples& samples) {
         min_vs_wasmtime,
         reduction_pct(ours, find(samples, DeployConfig::kShimWasmtime, d)
                                 .free_mib));
-    wasmer_sum += reduction_pct(
+    const double vs_wasmer = reduction_pct(
         ours, find(samples, DeployConfig::kShimWasmer, d).free_mib);
+    if (std::abs(vs_wasmer - 77.53) > std::abs(worst_vs_wasmer - 77.53)) {
+      worst_vs_wasmer = vs_wasmer;
+    }
   }
   checks.check(min_vs_wasmtime >= 10.87,
                "reduction vs containerd-shim-wasmtime >= 10.87 % at every "
                "density",
                10.87, min_vs_wasmtime);
-  const double wasmer_avg = wasmer_sum / kDensities.size();
-  checks.check(std::abs(wasmer_avg - 77.53) < 2.0,
-               "reduction vs containerd-shim-wasmer ~= 77.53 % over all "
-               "densities",
-               77.53, wasmer_avg);
+  checks.check(std::abs(worst_vs_wasmer - 77.53) < 2.0,
+               "reduction vs containerd-shim-wasmer ~= 77.53 % at every "
+               "density",
+               77.53, worst_vs_wasmer);
   return checks.summarize("fig5");
 }
 
@@ -260,11 +272,21 @@ int fig6(const Samples& samples) {
         min_vs_runc_py,
         reduction_pct(ours,
                       find(samples, DeployConfig::kRuncPython, d).metrics_mib));
-    // Only ours beats Python on the metrics server.
-    checks.check(find(samples, DeployConfig::kShimWasmtime, d).metrics_mib >
-                     find(samples, DeployConfig::kCrunPython, d).metrics_mib,
+    // Only ours beats Python on the metrics server: the lowest other Wasm
+    // config stays above crun+Python (measured: its margin, in %).
+    double lowest_other = 1e9;
+    for (const DeployConfig c : kConfigs) {
+      if (c != DeployConfig::kCrunWamr && k8s::deploy_config_is_wasm(c)) {
+        lowest_other = std::min(lowest_other, find(samples, c, d).metrics_mib);
+      }
+    }
+    const double crun_py =
+        find(samples, DeployConfig::kCrunPython, d).metrics_mib;
+    checks.check(lowest_other > crun_py,
                  "density " + std::to_string(d) +
-                     ": shim-wasmtime stays above Python (metrics server)");
+                     ": all six other Wasm configs stay above crun+Python "
+                     "(metrics server)",
+                 0.0, (lowest_other / crun_py - 1.0) * 100.0);
   }
   checks.check(min_vs_crun_py >= 17.98,
                "reduction vs crun+Python >= 17.98 %", 17.98, min_vs_crun_py);
@@ -332,7 +354,7 @@ int fig8(const Samples& samples) {
 
   ShapeChecks checks;
   const double ours = find(samples, DeployConfig::kCrunWamr, 10).startup_s;
-  checks.check(std::abs(ours - 3.24) < 0.30,
+  checks.check(std::abs(ours - 3.24) < 0.25,
                "ours starts 10 containers in ~3.24 s", 3.24, ours);
   // Shims are fastest at low density.
   const double shim_we =
@@ -342,7 +364,7 @@ int fig8(const Samples& samples) {
   checks.check(shim_we < ours && shim_wt < ours,
                "runwasi shims are fastest at 10 containers");
   const double shim_lead = reduction_pct(shim_we, ours);
-  checks.check(shim_lead > 4.0 && shim_lead <= 11.45 + 2.0,
+  checks.check(shim_lead >= 5.0 && shim_lead <= 11.45 + 2.0,
                "fastest shim leads ours by up to 11.45 %", 11.45, shim_lead);
   // Ours beats every other crun engine by >= 2.66 %.
   for (DeployConfig c : {DeployConfig::kCrunWasmtime, DeployConfig::kCrunWasmer,

@@ -376,22 +376,17 @@ void Containerd::start_via_runwasi(const std::string& container_id,
           }
           rec.bundle = std::move(*bundle);
 
-          wasi::WasiOptions opts;
-          opts.args = rec.bundle.spec.args;
-          opts.env = rec.bundle.spec.env;
-          const std::string rootfs =
-              rec.bundle.path + "/" + rec.bundle.spec.root_path;
-          opts.preopens.emplace_back("/data", rootfs + "/data");
-          opts.preopens.emplace_back("/tmp", rootfs + "/tmp");
           // Injected wasm trap: a starved fuel budget makes the module
-          // genuinely trap inside the interpreter.
+          // genuinely trap inside the engine.
           uint64_t fuel = engines::kDefaultStartupFuel;
           if (node_.faults().enabled() &&
               node_.faults().should_fault(sim::FaultKind::kWasmTrap, pod)) {
             fuel = 64;
           }
-          auto report = engine.run_module(rec.bundle.payload.wasm,
-                                          std::move(opts), node_.fs(), fuel);
+          auto report = engine.run_module(
+              rec.bundle.payload.wasm,
+              oci::wasi_options_for(rec.bundle, rec.info.id), node_.fs(),
+              fuel);
           if (!report) {
             rec.info.state = oci::ContainerState::kStopped;
             rec.info.exit_code = oci::kStartFailureExitCode;
@@ -653,16 +648,9 @@ void Containerd::invoke_container(const std::string& container_id,
                                         " has no serving engine"));
       return;
     }
-    wasi::WasiOptions opts;
-    opts.args = rec.bundle.spec.args;
-    opts.env = rec.bundle.spec.env;
-    const std::string rootfs =
-        rec.bundle.path + "/" + rec.bundle.spec.root_path;
-    opts.preopens.emplace_back("/data", rootfs + "/data");
-    opts.preopens.emplace_back("/tmp", rootfs + "/tmp");
     rec.serve = std::make_unique<engines::ServeSlot>(
         node_, shim_engine(*hc->second.engine), rec.bundle.payload.wasm,
-        std::move(opts));
+        oci::wasi_options_for(rec.bundle, rec.info.id));
   }
   rec.serve->invoke(arg, std::move(charging_done), parent);
 }

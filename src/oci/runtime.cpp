@@ -158,7 +158,7 @@ void OciRuntimeBase::invoke(const std::string& id, int32_t arg,
     } else if (rec.serve_engine != nullptr) {
       rec.serve = std::make_unique<engines::ServeSlot>(
           node_, *rec.serve_engine, rec.bundle.payload.wasm,
-          wasi_options_for(rec));
+          wasi_options_for(rec.bundle, rec.info.id));
     } else {
       if (done) {
         done(failed_precondition("container " + id +
@@ -195,21 +195,20 @@ std::string_view OciRuntimeBase::fault_target(
   return rec.info.id;
 }
 
-wasi::WasiOptions OciRuntimeBase::wasi_options_for(
-    const ContainerRecord& rec) const {
+wasi::WasiOptions wasi_options_for(const Bundle& bundle,
+                                   const std::string& id) {
   wasi::WasiOptions opts;
   // §III-C item 2 — WASI argument handling: OCI process config maps 1:1.
-  opts.args = rec.bundle.spec.args;
-  opts.env = rec.bundle.spec.env;
-  const std::string rootfs =
-      rec.bundle.path + "/" + rec.bundle.spec.root_path;
-  for (const Mount& m : rec.bundle.spec.mounts) {
+  opts.args = bundle.spec.args;
+  opts.env = bundle.spec.env;
+  const std::string rootfs = bundle.path + "/" + bundle.spec.root_path;
+  for (const Mount& m : bundle.spec.mounts) {
     opts.preopens.emplace_back(m.destination, m.source);
   }
   // The container's own /data and /tmp are always preopened.
   opts.preopens.emplace_back("/data", rootfs + "/data");
   opts.preopens.emplace_back("/tmp", rootfs + "/tmp");
-  opts.random_seed = 0x5eed ^ std::hash<std::string>{}(rec.info.id);
+  opts.random_seed = 0x5eed ^ std::hash<std::string>{}(id);
   return opts;
 }
 
@@ -231,7 +230,7 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
     return;
   }
   // Injected wasm trap: starve the sandbox's fuel budget so the module
-  // genuinely traps ("all fuel consumed") inside the interpreter — the
+  // genuinely traps ("all fuel consumed") inside the engine — the
   // trap travels the real error path, not a synthesized status.
   uint64_t fuel = engines::kDefaultStartupFuel;
   if (node_.faults().enabled() &&
@@ -239,10 +238,12 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
                                   fault_target(rec))) {
     fuel = 64;
   }
-  // Run the module for real through the interpreter (decode → validate →
+  // Run the module for real on the engine's tier (decode → validate →
   // instantiate → _start under WASI).
-  auto report = engine.run_module(rec.bundle.payload.wasm,
-                                  wasi_options_for(rec), node_.fs(), fuel);
+  auto report =
+      engine.run_module(rec.bundle.payload.wasm,
+                        wasi_options_for(rec.bundle, rec.info.id), node_.fs(),
+                        fuel);
   if (!report) {
     fail(rec, report.status(), on_running);
     return;

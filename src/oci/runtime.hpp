@@ -57,6 +57,12 @@ struct ContainerInfo {
 /// paper's startup-latency endpoint) or when startup fails.
 using OnRunning = std::function<void(Status)>;
 
+/// Translate a bundle's OCI process/mounts into WASI options (§III-C
+/// item 2), with a `random_get` seed unique to container `id`. Every Wasm
+/// launch path (crun/youki and the runwasi shims) builds its options here.
+[[nodiscard]] wasi::WasiOptions wasi_options_for(const Bundle& bundle,
+                                                 const std::string& id);
+
 /// Interface all low-level runtimes implement (what a shim drives).
 class LowLevelRuntime {
  public:
@@ -146,10 +152,6 @@ class OciRuntimeBase : public LowLevelRuntime {
   void launch_python(ContainerRecord& rec, OnRunning on_running);
   void launch_wasm_exec(const engines::Engine& engine, ContainerRecord& rec,
                         OnRunning on_running);
-
-  /// Translate OCI process/mounts into WASI options (§III-C item 2).
-  [[nodiscard]] wasi::WasiOptions wasi_options_for(
-      const ContainerRecord& rec) const;
 
   /// Fault-injection target: the pod name containerd annotated the bundle
   /// with, falling back to the container id for bare-runtime embeddings.

@@ -2,10 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include "wasm/builder.hpp"
 #include "wasm/workloads.hpp"
 
 namespace wasmctr::containerd {
 namespace {
+
+// A WASI command whose _start writes 8 bytes of random_get output to
+// stdout, then exits 0.
+std::vector<uint8_t> build_random_printer() {
+  using wasm::ValType;
+  wasm::ModuleBuilder b;
+  const uint32_t random_get = b.import_function(
+      "wasi_snapshot_preview1", "random_get", {ValType::kI32, ValType::kI32},
+      {ValType::kI32});
+  const uint32_t fd_write = b.import_function(
+      "wasi_snapshot_preview1", "fd_write",
+      {ValType::kI32, ValType::kI32, ValType::kI32, ValType::kI32},
+      {ValType::kI32});
+  const uint32_t proc_exit = b.import_function(
+      "wasi_snapshot_preview1", "proc_exit", {ValType::kI32}, {});
+  b.add_memory(1, 1);
+  wasm::FnBuilder& f = b.add_function("_start", {}, {});
+  f.i32_const(64).i32_const(8).call(random_get).drop();
+  // iovec{base=64, len=8} at 16, then fd_write(stdout).
+  f.i32_const(16).i32_const(64).i32_store();
+  f.i32_const(20).i32_const(8).i32_store();
+  f.i32_const(1).i32_const(16).i32_const(1).i32_const(80).call(fd_write).drop();
+  f.i32_const(0).call(proc_exit);
+  f.end();
+  return b.build();
+}
 
 class ContainerdTest : public ::testing::Test {
  protected:
@@ -16,6 +43,12 @@ class ContainerdTest : public ::testing::Test {
     wasm_image.payload.wasm = wasm::build_minimal_microservice();
     wasm_image.disk_size = Bytes(8192);
     images_.add(std::move(wasm_image));
+    Image random_image;
+    random_image.name = "svc:random";
+    random_image.payload.kind = oci::Payload::Kind::kWasm;
+    random_image.payload.wasm = build_random_printer();
+    random_image.disk_size = Bytes(8192);
+    images_.add(std::move(random_image));
 
     ctrd_.register_handler(
         "crun-wamr", {HandlerPath::kRuncV2, "crun", engines::EngineKind::kWamr});
@@ -92,6 +125,27 @@ TEST_F(ContainerdTest, RunwasiPathRunsInPodCgroup) {
   ASSERT_NE(cg, nullptr);
   EXPECT_GT(cg->working_set().value, 4u << 20)
       << "runwasi shim footprint must land in the pod cgroup";
+}
+
+TEST_F(ContainerdTest, RunwasiContainersGetDistinctRandomSeeds) {
+  std::vector<std::string> outputs;
+  for (const char* pod : {"pod-r1", "pod-r2"}) {
+    auto sb = make_sandbox(pod);
+    ASSERT_TRUE(sb.is_ok());
+    ContainerRequest req;
+    req.name = "c";
+    req.image = "svc:random";
+    auto cid = ctrd_.create_and_start(*sb, req, "wasmtime-shim", nullptr);
+    ASSERT_TRUE(cid.is_ok()) << cid.status().to_string();
+    node_.kernel().run();
+    auto state = ctrd_.container_state(*cid);
+    ASSERT_TRUE(state.is_ok());
+    ASSERT_EQ(state->exit_code, 0u);
+    ASSERT_EQ(state->stdout_data.size(), 8u);
+    outputs.push_back(state->stdout_data);
+  }
+  EXPECT_NE(outputs[0], outputs[1])
+      << "random_get is seeded per container, as on the crun path";
 }
 
 TEST_F(ContainerdTest, UnknownHandlerRejected) {

@@ -80,6 +80,42 @@ TEST(EngineTest, ModeledInstanceAppliesMultiplier) {
   EXPECT_EQ(interp->compile.wasm_ops, 0u) << "no compile at interp tier";
 }
 
+// Pins the host-measured instance footprint exactly. It feeds every Wasm
+// config's memory per container, yet it is computed from host layout: at
+// the interp tier, the interpreter's own std::map/std::vector state. So
+// running crun-wamr on another executor moves the paper's figures (tried
+// for ROADMAP item 5: bench_paper's crun-wamr free memory at 100 pods went
+// from 5.618 to 5.617 MiB, and bench_timeline lost 616 B per serving pod).
+// A change here needs re-derived reference figures, not a new constant.
+TEST(EngineTest, MeasuredInstanceFootprintIsPinned) {
+  struct Case {
+    const char* workload;
+    std::vector<uint8_t> bytes;
+    uint64_t interp_bytes;    // crun-wamr, Tier::kInterpreter
+    uint64_t baseline_bytes;  // crun-wasmtime, Tier::kBaseline
+  };
+  const Case cases[] = {
+      {"minimal", wasm::build_minimal_microservice(), 133255, 133099},
+      {"request", wasm::build_request_microservice(), 133391, 133131},
+  };
+  const Engine wamr = make_crun_engine(EngineKind::kWamr);
+  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
+  for (const Case& c : cases) {
+    wasi::VirtualFs fs;
+    wasi::WasiOptions opts;
+    opts.args = {"app.wasm"};
+    auto interp = wamr.run_module(c.bytes, opts, fs);
+    auto baseline = wasmtime.run_module(c.bytes, opts, fs);
+    ASSERT_TRUE(interp.is_ok()) << c.workload;
+    ASSERT_TRUE(baseline.is_ok()) << c.workload;
+    ASSERT_EQ(interp->tier, Tier::kInterpreter);
+    ASSERT_EQ(baseline->tier, Tier::kBaseline);
+    EXPECT_EQ(interp->measured_instance.value, c.interp_bytes) << c.workload;
+    EXPECT_EQ(baseline->measured_instance.value, c.baseline_bytes)
+        << c.workload;
+  }
+}
+
 TEST(EngineTest, TierOverrideFlipsBothDirections) {
   const Engine wamr = make_crun_engine(EngineKind::kWamr);
   const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);

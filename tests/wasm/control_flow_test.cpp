@@ -188,6 +188,9 @@ struct I64Case {
   uint64_t (*reference)(uint64_t, uint64_t);
 };
 
+// Stable ctest names: print the case by its name, not its pointer bytes.
+void PrintTo(const I64Case& c, std::ostream* os) { *os << c.name; }
+
 uint64_t r_add(uint64_t a, uint64_t b) { return a + b; }
 uint64_t r_sub(uint64_t a, uint64_t b) { return a - b; }
 uint64_t r_mul(uint64_t a, uint64_t b) { return a * b; }

@@ -40,6 +40,9 @@ struct I32Case {
   uint32_t (*reference)(uint32_t, uint32_t);
 };
 
+// Stable ctest names: print the case by its name, not its pointer bytes.
+void PrintTo(const I32Case& c, std::ostream* os) { *os << c.name; }
+
 uint32_t ref_add(uint32_t a, uint32_t b) { return a + b; }
 uint32_t ref_sub(uint32_t a, uint32_t b) { return a - b; }
 uint32_t ref_mul(uint32_t a, uint32_t b) { return a * b; }
