@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "wasm/builder.hpp"
 #include "wasm/workloads.hpp"
 
@@ -49,6 +51,12 @@ class ContainerdTest : public ::testing::Test {
     random_image.payload.wasm = build_random_printer();
     random_image.disk_size = Bytes(8192);
     images_.add(std::move(random_image));
+    Image request_image;
+    request_image.name = "svc:request";
+    request_image.payload.kind = oci::Payload::Kind::kWasm;
+    request_image.payload.wasm = wasm::build_request_microservice();
+    request_image.disk_size = Bytes(8192);
+    images_.add(std::move(request_image));
 
     ctrd_.register_handler(
         "crun-wamr", {HandlerPath::kRuncV2, "crun", engines::EngineKind::kWamr});
@@ -227,6 +235,82 @@ TEST_F(ContainerdTest, HandlerNamesListed) {
   EXPECT_TRUE(ctrd_.has_handler("crun-wamr"));
   EXPECT_FALSE(ctrd_.has_handler("youki"));
 }
+
+// Both Fig 1 integration paths (shim-runc-v2 → crun, and a runwasi shim)
+// drive one container lifecycle: serve cold then warm, OOM-kill on a
+// memory.max breach, refuse requests once stopped, and give every byte
+// back when the sandbox goes.
+class ContainerdLifecycleTest
+    : public ContainerdTest,
+      public ::testing::WithParamInterface<const char*> {
+ protected:
+  Result<engines::InvokeReport> invoke(const std::string& cid) {
+    Result<engines::InvokeReport> out = internal_error("no callback");
+    ctrd_.invoke_container(cid, 10, [&](Result<engines::InvokeReport> r) {
+      out = std::move(r);
+    });
+    node_.kernel().run();
+    return out;
+  }
+};
+
+TEST_P(ContainerdLifecycleTest, ServesThenOomKillsThenReleasesEverything) {
+  const Bytes anon_before = node_.memory().anon_total();
+  const Bytes shared_before = node_.memory().shared_resident();
+  auto sb = make_sandbox("pod-l");
+  ASSERT_TRUE(sb.is_ok());
+  ContainerRequest req;
+  req.name = "c";
+  req.image = "svc:request";
+  req.memory_limit = 32ull << 20;
+  Status running = internal_error("no callback");
+  auto cid = ctrd_.create_and_start(*sb, req, GetParam(),
+                                    [&](Status st) { running = std::move(st); });
+  ASSERT_TRUE(cid.is_ok()) << cid.status().to_string();
+  node_.kernel().run();
+  ASSERT_TRUE(running.is_ok()) << running.to_string();
+
+  auto cold = invoke(*cid);
+  ASSERT_TRUE(cold.is_ok()) << cold.status().to_string();
+  EXPECT_TRUE(cold->cold);
+  auto warm = invoke(*cid);
+  ASSERT_TRUE(warm.is_ok()) << warm.status().to_string();
+  EXPECT_FALSE(warm->cold);
+
+  int exits = 0;
+  Status exit_status = Status::ok();
+  ctrd_.watch_container_exit(
+      [&](const std::string& pod, const std::string& id, const Status& st) {
+        ++exits;
+        EXPECT_EQ(pod, "pod-l");
+        EXPECT_EQ(id, *cid);
+        exit_status = st;
+      });
+  EXPECT_EQ(ctrd_.grow_container_memory(*cid, Bytes(64ull << 20)).code(),
+            ErrorCode::kResourceExhausted);
+  auto state = ctrd_.container_state(*cid);
+  ASSERT_TRUE(state.is_ok());
+  EXPECT_EQ(state->state, oci::ContainerState::kStopped);
+  EXPECT_EQ(state->exit_code, oci::kOomKillExitCode);
+  EXPECT_EQ(exits, 1);
+  EXPECT_EQ(exit_status.code(), ErrorCode::kResourceExhausted);
+
+  EXPECT_EQ(invoke(*cid).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(exits, 1) << "a refused request is not another exit";
+
+  ASSERT_TRUE(ctrd_.remove_pod_sandbox(*sb).is_ok());
+  EXPECT_EQ(node_.memory().anon_total(), anon_before);
+  EXPECT_EQ(node_.memory().shared_resident(), shared_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Handlers, ContainerdLifecycleTest,
+    ::testing::Values("crun-wamr", "wasmtime-shim"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace wasmctr::containerd
