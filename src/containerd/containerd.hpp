@@ -1,8 +1,9 @@
 // containerd: the high-level container runtime Kubernetes drives through
-// the CRI. Owns pod sandboxes (pause containers), per-pod shim processes,
-// and dispatches container lifecycle to either a low-level OCI runtime
-// (containerd-shim-runc-v2 → crun/runC/youki) or a runwasi shim that runs
-// the Wasm engine in-process (paper Fig 1's two integration paths).
+// the CRI. Owns pod sandboxes (pause containers), the daemon's serialized
+// shim registration and the per-pod containerd-shim-runc-v2 processes, and
+// hands every container's lifecycle to one oci::LowLevelRuntime: crun,
+// runC or youki behind shim-runc-v2, or a runwasi shim that runs the Wasm
+// engine in-process (paper Fig 1's two integration paths).
 #pragma once
 
 #include <functional>
@@ -129,48 +130,40 @@ class Containerd {
   [[nodiscard]] sim::Node& node() noexcept { return node_; }
 
  private:
-  struct ShimRecord {
-    sim::Pid pid = 0;
-    HandlerPath path = HandlerPath::kRuncV2;
-    std::string handler;
-  };
+  /// A thin routing entry: the container's state lives in its runtime.
   struct ContainerRecord {
     std::string sandbox_id;
-    std::string handler;
     std::string image;
-    HandlerPath path;
-    // kRunwasi bookkeeping (the shim process is the workload process):
-    sim::Pid shim_pid = 0;
-    Bytes node_extra{0};
-    oci::ContainerInfo info;  // runwasi-managed state
-    oci::Bundle bundle;
-    /// Live runwasi serving instance (runc-v2 path keeps its slot in the
-    /// low-level runtime's record instead).
-    std::unique_ptr<engines::ServeSlot> serve;
+    oci::LowLevelRuntime* runtime = nullptr;
   };
 
   oci::LowLevelRuntime* runtime_for(const HandlerConfig& config);
 
+  /// How long the daemon's serialized section holds a new shim.
+  double daemon_serial_s(const HandlerConfig& config);
+
   /// Pod name owning a container (fault-injection target + exit events).
-  [[nodiscard]] std::string pod_name_of(const ContainerRecord& rec) const;
+  [[nodiscard]] std::string pod_name_of(const std::string& container_id) const;
 
   void notify_exit(const std::string& container_id, const Status& status);
 
-  void start_via_runc_shim(const std::string& container_id,
-                           const std::string& bundle_path,
-                           const std::string& cgroup_path,
-                           const HandlerConfig& config,
-                           oci::OnRunning on_running);
-  void start_via_runwasi(const std::string& container_id,
-                         const std::string& cgroup_path,
-                         const HandlerConfig& config,
-                         oci::OnRunning on_running);
+  /// The per-pod containerd-shim-runc-v2 process, spawned on first use.
+  /// False (and `on_running` told why) when it crashed or could not start.
+  bool ensure_runc_shim(const std::string& container_id,
+                        const oci::OnRunning& on_running);
+
+  /// `create` + `start` in the container's runtime.
+  void run_in_runtime(const std::string& container_id,
+                      const std::string& bundle_path,
+                      const std::string& cgroup_path,
+                      const oci::OnRunning& on_running);
 
   sim::Node& node_;
   ImageStore& images_;
   std::map<std::string, HandlerConfig> handlers_;
   std::map<std::string, SandboxInfo> sandboxes_;
-  std::map<std::string, ShimRecord> shims_;        // keyed by sandbox id
+  /// containerd-shim-runc-v2 pid per sandbox id.
+  std::map<std::string, sim::Pid> runc_shims_;
   std::map<std::string, ContainerRecord> containers_;
   // One low-level runtime instance per distinct configuration.
   std::map<std::string, std::unique_ptr<oci::LowLevelRuntime>> oci_runtimes_;

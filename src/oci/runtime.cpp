@@ -20,7 +20,15 @@ Status OciRuntimeBase::create(const std::string& id,
       cgroup_path.empty() ? bundle.spec.cgroups_path : cgroup_path;
   if (rec.info.cgroup_path.empty()) rec.info.cgroup_path = "ctr/" + id;
   rec.bundle = std::move(bundle);
+  if (!shim_is_workload()) {
+    enter_cgroup(rec);
+    WASMCTR_RETURN_IF_ERROR(charge_kernel(rec));
+  }
+  containers_.emplace(id, std::move(rec));
+  return Status::ok();
+}
 
+void OciRuntimeBase::enter_cgroup(const ContainerRecord& rec) {
   mem::Cgroup& cg = node_.cgroups().ensure(rec.info.cgroup_path);
   if (rec.bundle.spec.memory_limit != 0) {
     cg.set_limit(Bytes(rec.bundle.spec.memory_limit));
@@ -29,17 +37,15 @@ Status OciRuntimeBase::create(const std::string& id,
   // first charge trips check_headroom — the kill then travels the same
   // OOM path a real limit breach takes. Restarts recreate the cgroup and
   // consult the injector afresh, so the fault is transient.
-  if (node_.faults().enabled() &&
-      node_.faults().should_fault(sim::FaultKind::kOomKill,
-                                  fault_target(rec))) {
-    cg.set_limit(Bytes(64_KiB));
-  }
-  // Kernel objects the runtime allocates at create (netns, veth, cgroup
+  if (injected(sim::FaultKind::kOomKill, rec)) cg.set_limit(Bytes(64_KiB));
+}
+
+Status OciRuntimeBase::charge_kernel(ContainerRecord& rec) {
+  // Kernel objects the runtime allocates (netns, veth, cgroup
   // structures): node-visible (free), outside any pod cgroup.
   const Bytes kernel = kInfra.kernel_per_pod + kernel_extra();
   WASMCTR_RETURN_IF_ERROR(node_.memory().charge_anon(kernel, nullptr));
   rec.kernel_charged = kernel;
-  containers_.emplace(id, std::move(rec));
   return Status::ok();
 }
 
@@ -50,6 +56,11 @@ Status OciRuntimeBase::start(const std::string& id, OnRunning on_running) {
   if (rec.info.state != ContainerState::kCreated) {
     return failed_precondition("container " + id + " is " +
                                container_state_name(rec.info.state));
+  }
+  // The shim boots the engine itself: its exec is part of engine.load.
+  if (shim_is_workload()) {
+    launch_workload(rec, std::move(on_running));
+    return Status::ok();
   }
   // The create+start exec path (clone, pivot_root, cgroup attach, exec).
   node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "runtime.exec",
@@ -78,10 +89,7 @@ Status OciRuntimeBase::grow_memory(const std::string& id, Bytes delta) {
     return internal_error("container " + id + " has no process");
   }
   Status st = proc->add_anon(delta);
-  if (st.is_ok()) {
-    rec.anon_charged += delta;
-    return st;
-  }
+  if (st.is_ok()) return st;
   // memory.max breached: the kernel OOM-killer reaps the workload. The
   // container does not vanish — it flips to stopped/137 so the layer above
   // can observe the kill and restart per policy.
@@ -91,7 +99,6 @@ Status OciRuntimeBase::grow_memory(const std::string& id, Bytes delta) {
   }
   (void)node_.procs().kill(rec.info.pid);
   rec.info.pid = 0;
-  rec.anon_charged = Bytes(0);
   rec.info.state = ContainerState::kStopped;
   rec.info.exit_code = kOomKillExitCode;
   WASMCTR_LOG(kWarn, "oci") << "container " << id
@@ -195,6 +202,12 @@ std::string_view OciRuntimeBase::fault_target(
   return rec.info.id;
 }
 
+bool OciRuntimeBase::injected(sim::FaultKind kind,
+                              const ContainerRecord& rec) {
+  return node_.faults().enabled() &&
+         node_.faults().should_fault(kind, fault_target(rec));
+}
+
 wasi::WasiOptions wasi_options_for(const Bundle& bundle,
                                    const std::string& id) {
   wasi::WasiOptions opts;
@@ -213,15 +226,23 @@ wasi::WasiOptions wasi_options_for(const Bundle& bundle,
 }
 
 void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
-                                        ContainerRecord& rec, bool embedded,
+                                        ContainerRecord& rec,
+                                        const std::string& process,
                                         OnRunning on_running) {
   node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "wasi.start",
                                "engines");
-  // Injected engine failure: libwamr.so (or the engine CLI) fails to
-  // initialize — e.g. a corrupt AOT artifact or dlopen error.
-  if (node_.faults().enabled() &&
-      node_.faults().should_fault(sim::FaultKind::kEngineInstantiate,
-                                  fault_target(rec))) {
+  // Injected shim crash: a runwasi shim dies while booting, before its
+  // engine ever runs.
+  if (shim_is_workload() && injected(sim::FaultKind::kShimCrash, rec)) {
+    fail(rec,
+         unavailable(process + " for " + std::string(fault_target(rec)) +
+                     " crashed during boot (injected)"),
+         on_running);
+    return;
+  }
+  // Injected engine failure: libwamr.so, the engine CLI or the shim's
+  // engine fails to initialize — e.g. a corrupt AOT artifact.
+  if (injected(sim::FaultKind::kEngineInstantiate, rec)) {
     fail(rec,
          unavailable("engine " +
                      std::string(engines::engine_name(engine.kind())) +
@@ -233,11 +254,7 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
   // genuinely traps ("all fuel consumed") inside the engine — the
   // trap travels the real error path, not a synthesized status.
   uint64_t fuel = engines::kDefaultStartupFuel;
-  if (node_.faults().enabled() &&
-      node_.faults().should_fault(sim::FaultKind::kWasmTrap,
-                                  fault_target(rec))) {
-    fuel = 64;
-  }
+  if (injected(sim::FaultKind::kWasmTrap, rec)) fuel = 64;
   // Run the module for real on the engine's tier (decode → validate →
   // instantiate → _start under WASI).
   auto report =
@@ -249,12 +266,10 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
     return;
   }
 
+  // A runwasi shim process is spawned only now, into the pod cgroup.
+  if (shim_is_workload()) enter_cgroup(rec);
   mem::Cgroup* cg = node_.cgroups().find(rec.info.cgroup_path);
-  auto pid = node_.procs().spawn(
-      embedded ? ("crun-wamr:" + rec.info.id)
-               : (std::string(engines::engine_name(engine.kind())) + ":" +
-                  rec.info.id),
-      cg);
+  auto pid = node_.procs().spawn(process + ":" + rec.info.id, cg);
   if (!pid) {
     fail(rec, pid.status(), on_running);
     return;
@@ -282,12 +297,11 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
     }
   }
   if (st.is_ok()) {
-    const Bytes anon = kInfra.process_base + process_residual() +
-                       engine.profile().private_fixed +
-                       report->modeled_instance;
-    st = proc->add_anon(anon);
-    if (st.is_ok()) rec.anon_charged = anon;
+    st = proc->add_anon(kInfra.process_base + process_residual() +
+                        engine.profile().private_fixed +
+                        report->modeled_instance);
   }
+  if (st.is_ok() && shim_is_workload()) st = charge_kernel(rec);
   if (!st.is_ok()) {
     (void)node_.procs().kill(*pid);
     fail(rec, std::move(st), on_running);
@@ -315,8 +329,38 @@ void OciRuntimeBase::launch_wasm_exec(const engines::Engine& engine,
               [this, id, &engine, on_running = std::move(on_running)] {
                 auto it = containers_.find(id);
                 if (it == containers_.end()) return;
-                finish_wasm_launch(engine, it->second, /*embedded=*/false,
+                finish_wasm_launch(engine, it->second,
+                                   engines::engine_name(engine.kind()),
                                    on_running);
+              });
+}
+
+void OciRuntimeBase::launch_wasm_compiled(const engines::Engine& engine,
+                                          ContainerRecord& rec,
+                                          double extra_cpu_s,
+                                          std::string process,
+                                          OnRunning on_running) {
+  engines::CompileMeasurement measured;
+  const engines::CompileMeasurement* meas_ptr = nullptr;
+  if (engine.tier() == engines::Tier::kBaseline &&
+      rec.bundle.payload.kind == Payload::Kind::kWasm) {
+    if (auto m = engine.measure_compile(rec.bundle.payload.wasm); m.is_ok()) {
+      measured = *m;
+      meas_ptr = &measured;
+    }
+  }
+  const engines::StartupCost cost =
+      engine.startup_cost(rec.bundle.payload.size(), false, meas_ptr);
+  const std::string id = rec.info.id;
+  node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "engine.load",
+                               "engines");
+  node_.burst(extra_cpu_s + cost.init_cpu_s + cost.load_cpu_s +
+                  cost.compile_cpu_s,
+              [this, id, &engine, process = std::move(process),
+               on_running = std::move(on_running)] {
+                auto it = containers_.find(id);
+                if (it == containers_.end()) return;
+                finish_wasm_launch(engine, it->second, process, on_running);
               });
 }
 
@@ -335,9 +379,7 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
     // Injected interpreter failure: the CPython stand-in dies during boot
     // (bad site-packages, missing shared object) — the Python twin of the
     // engine-instantiate fault on the Wasm paths.
-    if (node_.faults().enabled() &&
-        node_.faults().should_fault(sim::FaultKind::kInterpreterStart,
-                                    fault_target(rec))) {
+    if (injected(sim::FaultKind::kInterpreterStart, rec)) {
       fail(rec,
            unavailable("python interpreter for " +
                        std::string(fault_target(rec)) +
@@ -377,10 +419,8 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
           static_cast<double>(interp.resident_bytes() +
                               program->resident_bytes()) *
           engines::kPythonProfile.instance_multiplier));
-      const Bytes anon = kInfra.process_base + process_residual() +
-                         engines::kPythonProfile.private_fixed + script_heap;
-      st = proc->add_anon(anon);
-      if (st.is_ok()) rec.anon_charged = anon;
+      st = proc->add_anon(kInfra.process_base + process_residual() +
+                          engines::kPythonProfile.private_fixed + script_heap);
     }
     if (!st.is_ok()) {
       (void)node_.procs().kill(*pid);
@@ -456,7 +496,9 @@ void Crun::launch_workload(ContainerRecord& rec, OnRunning on_running) {
           [this, id, &engine, on_running] {
             auto it = containers_.find(id);
             if (it == containers_.end()) return;
-            finish_wasm_launch(engine, it->second, false, on_running);
+            finish_wasm_launch(engine, it->second,
+                               engines::engine_name(engine.kind()),
+                               on_running);
           });
     };
     switch (compile_cache_.lookup(
@@ -488,26 +530,7 @@ void Crun::launch_wamr_embedded(ContainerRecord& rec, OnRunning on_running) {
   // Default tier is the classic interpreter (no compile at all). Under a
   // forced baseline tier (fast-interp ablation) each pod pays its own
   // measured compile — WAMR ships no cross-pod artifact cache.
-  engines::CompileMeasurement measured;
-  const engines::CompileMeasurement* meas_ptr = nullptr;
-  if (wamr.tier() == engines::Tier::kBaseline) {
-    if (auto m = wamr.measure_compile(rec.bundle.payload.wasm); m.is_ok()) {
-      measured = *m;
-      meas_ptr = &measured;
-    }
-  }
-  const engines::StartupCost cost =
-      wamr.startup_cost(rec.bundle.payload.size(), false, meas_ptr);
-  const std::string id = rec.info.id;
-  node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "engine.load",
-                               "engines");
-  node_.burst(cost.init_cpu_s + cost.load_cpu_s + cost.compile_cpu_s,
-              [this, id, on_running = std::move(on_running)] {
-                auto it = containers_.find(id);
-                if (it == containers_.end()) return;
-                finish_wasm_launch(wamr, it->second, /*embedded=*/true,
-                                   on_running);
-              });
+  launch_wasm_compiled(wamr, rec, 0.0, "crun-wamr", std::move(on_running));
 }
 
 // ---------- Runc ----------
@@ -536,6 +559,28 @@ void Youki::launch_workload(ContainerRecord& rec, OnRunning on_running) {
   static const engines::Engine wasmedge =
       engines::make_crun_engine(engines::EngineKind::kWasmEdge);
   launch_wasm_exec(wasmedge, rec, std::move(on_running));
+}
+
+// ---------- RunwasiShim ----------
+
+void RunwasiShim::launch_workload(ContainerRecord& rec,
+                                  OnRunning on_running) {
+  // One shim engine installation per kind per process — runwasi shims
+  // link the engine statically, and every pod's shim maps the same binary.
+  static const engines::Engine wasmtime =
+      engines::make_shim_engine(engines::EngineKind::kWasmtime);
+  static const engines::Engine wasmer =
+      engines::make_shim_engine(engines::EngineKind::kWasmer);
+  static const engines::Engine wasmedge =
+      engines::make_shim_engine(engines::EngineKind::kWasmEdge);
+  const engines::Engine& engine =
+      engine_ == engines::EngineKind::kWasmtime
+          ? wasmtime
+          : (engine_ == engines::EngineKind::kWasmer ? wasmer : wasmedge);
+  // Runwasi shims have no cross-pod artifact cache: each pod's shim
+  // compiles the module privately, priced by the measured op count.
+  launch_wasm_compiled(engine, rec, exec_cpu_s(), engine.library_name(),
+                       std::move(on_running));
 }
 
 }  // namespace wasmctr::oci

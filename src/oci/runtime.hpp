@@ -1,5 +1,6 @@
-// Low-level OCI container runtimes: crun (with the paper's WAMR
-// integration), runC, and youki.
+// Low-level container runtimes below the CRI: crun (with the paper's
+// WAMR integration), runC, youki, and the runwasi shims that run the
+// engine inside the shim process (paper Fig 1's two integration paths).
 //
 // The Crun class is the reproduction of the paper's contribution (§III-C):
 //  1. Dynamic library loading — libwamr.so is mapped into the container
@@ -63,7 +64,7 @@ using OnRunning = std::function<void(Status)>;
 [[nodiscard]] wasi::WasiOptions wasi_options_for(const Bundle& bundle,
                                                  const std::string& id);
 
-/// Interface all low-level runtimes implement (what a shim drives).
+/// Interface all low-level runtimes implement (what containerd drives).
 class LowLevelRuntime {
  public:
   virtual ~LowLevelRuntime() = default;
@@ -104,8 +105,10 @@ class LowLevelRuntime {
       const std::string& id) const = 0;
 };
 
-/// Shared implementation of the three runtimes. Subclasses differ in the
-/// exec cost, the set of workload handlers, and kernel-side residuals.
+/// Shared implementation of every runtime: one container state machine
+/// (create → running → stopped, OOM kill to 137, serving slot). Subclasses
+/// differ in the exec cost, the set of workload handlers, kernel-side
+/// residuals, and whether the shim process is itself the workload.
 class OciRuntimeBase : public LowLevelRuntime {
  public:
   explicit OciRuntimeBase(sim::Node& node) : node_(node) {}
@@ -129,7 +132,6 @@ class OciRuntimeBase : public LowLevelRuntime {
   struct ContainerRecord {
     ContainerInfo info;
     Bundle bundle;
-    Bytes anon_charged{0};       // private memory attributed to the workload
     Bytes kernel_charged{0};     // node-level kernel objects (netns, ...)
     /// Live serving instance (built lazily by the first invoke()).
     std::unique_ptr<engines::ServeSlot> serve;
@@ -144,6 +146,10 @@ class OciRuntimeBase : public LowLevelRuntime {
   [[nodiscard]] virtual Bytes kernel_extra() const { return Bytes(0); }
   /// Runtime-specific residual private memory in the workload process.
   [[nodiscard]] virtual Bytes process_residual() const { return Bytes(0); }
+  /// True when the shim process is itself the workload (runwasi): start()
+  /// skips the exec burst, and the pod cgroup, the kernel objects and the
+  /// shim-crash check all arrive with the process at launch, not at create.
+  [[nodiscard]] virtual bool shim_is_workload() const { return false; }
 
   /// Launch dispatch once the exec burst finishes.
   virtual void launch_workload(ContainerRecord& rec, OnRunning on_running) = 0;
@@ -152,14 +158,28 @@ class OciRuntimeBase : public LowLevelRuntime {
   void launch_python(ContainerRecord& rec, OnRunning on_running);
   void launch_wasm_exec(const engines::Engine& engine, ContainerRecord& rec,
                         OnRunning on_running);
+  /// One burst of `extra_cpu_s` plus the engine's init + load and, on a
+  /// baseline tier, the module's measured private compile (no cross-pod
+  /// artifact cache), then finish_wasm_launch.
+  void launch_wasm_compiled(const engines::Engine& engine,
+                            ContainerRecord& rec, double extra_cpu_s,
+                            std::string process, OnRunning on_running);
 
   /// Fault-injection target: the pod name containerd annotated the bundle
   /// with, falling back to the container id for bare-runtime embeddings.
   [[nodiscard]] std::string_view fault_target(const ContainerRecord& rec) const;
+  /// Whether the injector fires `kind` for this container right now.
+  [[nodiscard]] bool injected(sim::FaultKind kind, const ContainerRecord& rec);
 
-  /// Finalize: run the module/script for real, charge memory, flip state.
+  /// Set up the container's cgroup: memory.max, plus an injected OOM.
+  void enter_cgroup(const ContainerRecord& rec);
+  /// Charge the kernel objects the runtime allocates for the container.
+  Status charge_kernel(ContainerRecord& rec);
+
+  /// Finalize: run the module for real, spawn the workload process named
+  /// `process:<id>`, charge memory, flip state.
   void finish_wasm_launch(const engines::Engine& engine, ContainerRecord& rec,
-                          bool embedded, OnRunning on_running);
+                          const std::string& process, OnRunning on_running);
 
   void fail(ContainerRecord& rec, Status status, const OnRunning& on_running);
 
@@ -226,6 +246,37 @@ class Youki final : public OciRuntimeBase {
  protected:
   [[nodiscard]] double exec_cpu_s() const override { return 1.05; }
   void launch_workload(ContainerRecord& rec, OnRunning on_running) override;
+};
+
+/// containerd-shim-<engine> (runwasi): the engine runs inside the shim,
+/// and the shim process is the workload, living in the pod cgroup — its
+/// whole footprint is visible to the metrics server (why Fig 6's
+/// metrics-server gap to shims exceeds the free-command gap in Fig 5).
+/// There is no OCI runtime exec: shim boot and the runwasi create fuse
+/// with the engine's init/load/compile into one engine.load burst.
+class RunwasiShim final : public OciRuntimeBase {
+ public:
+  RunwasiShim(sim::Node& node, engines::EngineKind engine)
+      : OciRuntimeBase(node), engine_(engine) {}
+
+  [[nodiscard]] std::string name() const override {
+    return std::string("containerd-shim-") + engines::engine_name(engine_);
+  }
+
+ protected:
+  [[nodiscard]] double exec_cpu_s() const override {
+    return engines::kInfra.shim_spawn_cpu_s + engines::kInfra.runwasi_create_cpu_s;
+  }
+  /// ttrpc/event plumbing next to the per-pod kernel objects (netns,
+  /// veth, cgroup structs) an OCI runtime would create.
+  [[nodiscard]] Bytes kernel_extra() const override {
+    return engines::kInfra.runwasi_node_extra;
+  }
+  [[nodiscard]] bool shim_is_workload() const override { return true; }
+  void launch_workload(ContainerRecord& rec, OnRunning on_running) override;
+
+ private:
+  engines::EngineKind engine_;
 };
 
 }  // namespace wasmctr::oci
