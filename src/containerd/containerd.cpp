@@ -48,7 +48,8 @@ oci::LowLevelRuntime* Containerd::runtime_for(const HandlerConfig& config) {
   return ptr;
 }
 
-double Containerd::daemon_serial_s(const HandlerConfig& config) {
+double Containerd::daemon_serial_s(const HandlerConfig& config,
+                                   const std::string& container_id) {
   if (config.path == HandlerPath::kRuncV2) {
     return kInfra.daemon_serial_runc_shim_s;
   }
@@ -64,7 +65,10 @@ double Containerd::daemon_serial_s(const HandlerConfig& config) {
     base = kInfra.runwasi_serial_base_wasmedge_s;
     per_conn = kInfra.runwasi_serial_per_conn_wasmedge_s;
   }
-  return base + per_conn * static_cast<double>(runwasi_connections_++);
+  const double serial =
+      base + per_conn * static_cast<double>(runwasi_connections_.size());
+  runwasi_connections_.insert(container_id);
+  return serial;
 }
 
 void Containerd::run_pod_sandbox(
@@ -176,7 +180,7 @@ Result<std::string> Containerd::create_and_start(
                                "containerd");
   const bool runwasi = hc->second.path == HandlerPath::kRunwasi;
   node_.daemon_lock().acquire(
-      sim_s(daemon_serial_s(hc->second)),
+      sim_s(daemon_serial_s(hc->second, container_id)),
       [this, container_id, bundle_path, cgroup_path, runwasi,
        on_running = std::move(on_running)] {
         if (runwasi) {
@@ -258,6 +262,7 @@ Status Containerd::remove_container(const std::string& container_id) {
   ContainerRecord& rec = rec_it->second;
   (void)rec.runtime->kill(container_id);
   (void)rec.runtime->remove(container_id);
+  runwasi_connections_.erase(container_id);
   images_.release_layers(rec.image);
   if (auto sb = sandboxes_.find(rec.sandbox_id); sb != sandboxes_.end()) {
     auto& ids = sb->second.container_ids;

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -139,8 +140,10 @@ class Containerd {
 
   oci::LowLevelRuntime* runtime_for(const HandlerConfig& config);
 
-  /// How long the daemon's serialized section holds a new shim.
-  double daemon_serial_s(const HandlerConfig& config);
+  /// How long the daemon's serialized section holds the shim that
+  /// `container_id` starts; a runwasi shim also opens a live connection.
+  double daemon_serial_s(const HandlerConfig& config,
+                         const std::string& container_id);
 
   /// Pod name owning a container (fault-injection target + exit events).
   [[nodiscard]] std::string pod_name_of(const std::string& container_id) const;
@@ -169,7 +172,8 @@ class Containerd {
   std::map<std::string, std::unique_ptr<oci::LowLevelRuntime>> oci_runtimes_;
   std::vector<ExitWatcher> exit_watchers_;
   uint64_t next_id_ = 1;
-  uint64_t runwasi_connections_ = 0;
+  /// Containers whose runwasi shim holds a live ttrpc connection.
+  std::set<std::string> runwasi_connections_;
 };
 
 }  // namespace wasmctr::containerd

@@ -214,6 +214,32 @@ TEST_F(ContainerdTest, RemoveSandboxWithRunwasiReleasesEverything) {
   EXPECT_EQ(node_.memory().shared_resident().value, 0u);
 }
 
+TEST_F(ContainerdTest, RemovedRunwasiShimsStopSlowingLaterStarts) {
+  // The daemon's serialized ttrpc section grows with the *live* runwasi
+  // connections it services; a shim torn down with its sandbox no longer
+  // counts, so pod churn must not make later starts wait longer.
+  auto start_latency = [&](const std::string& pod) {
+    auto sb = make_sandbox(pod);
+    EXPECT_TRUE(sb.is_ok());
+    ContainerRequest req;
+    req.name = "c";
+    req.image = "svc:wasm";
+    const SimTime t0 = node_.kernel().now();
+    SimTime running_at{};
+    auto cid = ctrd_.create_and_start(*sb, req, "wasmtime-shim", [&](Status st) {
+      EXPECT_TRUE(st.is_ok()) << st.to_string();
+      running_at = node_.kernel().now();
+    });
+    EXPECT_TRUE(cid.is_ok());
+    node_.kernel().run();
+    EXPECT_TRUE(ctrd_.remove_pod_sandbox(*sb).is_ok());
+    return running_at - t0;
+  };
+  const SimDuration first = start_latency("pod-s0");
+  for (int i = 1; i <= 4; ++i) start_latency("pod-s" + std::to_string(i));
+  EXPECT_EQ(start_latency("pod-s5"), first);
+}
+
 TEST_F(ContainerdTest, ImageLayersCachedOncePerImage) {
   auto sb1 = make_sandbox("pod-g");
   auto sb2 = make_sandbox("pod-h");
