@@ -86,7 +86,6 @@ std::vector<Cluster::Worker> Cluster::build_workers(
                       options.backoff_base, options.backoff_cap,
                       options.backoff_reset_after,
                       options.eviction_min_available,
-                      options.in_place_restart,
                       /*heartbeat_interval=*/sim_s(10.0),
                       /*partition_window=*/sim_s(30.0),
                       options.node_restart_delay},

@@ -78,9 +78,6 @@ struct ClusterOptions {
   SimDuration backoff_reset_after = sim_s(600.0);
   /// Node-pressure eviction threshold (0 = disabled, seed behavior).
   Bytes eviction_min_available{0};
-  /// Restart failed containers inside their existing sandbox (stock
-  /// kubelet behavior); off recreates the full sandbox per attempt.
-  bool in_place_restart = true;
 };
 
 /// Configuration for the cluster's time-series pipeline (DESIGN.md §14):

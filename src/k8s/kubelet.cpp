@@ -685,11 +685,9 @@ void Kubelet::handle_failure(const std::string& name, const Status& status) {
   }
 
   // Restarting: keep the sandbox (pause container, netns, pod cgroup)
-  // and remove only the dead container when in-place restart applies.
-  // Failures before the sandbox existed take the full path regardless.
-  const bool in_place =
-      config_.in_place_restart && !p->status.sandbox_id.empty();
-  if (in_place) {
+  // and remove only the dead container. Failures before the sandbox
+  // existed take the full path.
+  if (!p->status.sandbox_id.empty()) {
     teardown_container(*p);
   } else {
     teardown_sandbox(*p);
@@ -733,7 +731,7 @@ void Kubelet::handle_failure(const std::string& name, const Status& status) {
     // Fresh attempt timeline covering the restart path (not the backoff
     // wait, which is idle time, not startup work).
     node_.obs().tracer.pod_phase(name, "kubelet.sync", "k8s");
-    if (config_.in_place_restart && !pod->status.sandbox_id.empty()) {
+    if (!pod->status.sandbox_id.empty()) {
       ++in_place_restarts_;
       restart_container(name);
     } else {

@@ -41,10 +41,6 @@ struct KubeletConfig {
   /// Node-pressure eviction threshold on `free`'s available column;
   /// 0 disables eviction (seed behavior).
   Bytes eviction_min_available{0};
-  /// Restart a failed container inside its existing sandbox (skipping
-  /// sandbox/CNI teardown + recreation), as the real kubelet does. Off =
-  /// the pre-PR behavior of recreating the full sandbox every attempt.
-  bool in_place_restart = true;
   /// Node-lease renewal cadence once start_heartbeats() is called
   /// (stock node-status-update-frequency: 10 s).
   SimDuration heartbeat_interval = sim_s(10.0);
