@@ -76,7 +76,7 @@ TierCell run_cell(DeployConfig config, Tier tier, uint32_t density,
   }
   cluster.run();
   if (cluster.running_count() != density) {
-    std::fprintf(stderr, "only %u/%u pods running\n",
+    std::fprintf(stderr, "only %zu/%u pods running\n",
                  cluster.running_count(), density);
     std::exit(1);
   }

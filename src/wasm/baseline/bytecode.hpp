@@ -89,6 +89,13 @@ enum BOp : uint8_t {
   kBIncTeeI32 = 0xf6,     // u16 a, i32 c  (same, local.tee a)
 };
 
+/// The baseline opcode a 0xFC saturating truncation (FcOpcode 0..7)
+/// lowers to: the one definition of the encoding that the compiler emits
+/// and the executor dispatches on.
+constexpr uint8_t trunc_sat_op(uint32_t fc_sub) {
+  return static_cast<uint8_t>(kBTruncSatBase + fc_sub);
+}
+
 /// Fuel weight of one baseline instruction = how many wasm opcodes the
 /// interpreter would have charged for the same work.
 inline uint32_t bop_weight(uint8_t op) {

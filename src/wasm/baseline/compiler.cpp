@@ -585,7 +585,7 @@ class FunctionCompiler {
         case kPrefixFC: {
           WASMCTR_ASSIGN_OR_RETURN(uint32_t sub, r.var_u32());
           if (sub <= kI64TruncSatF64U) {
-            emit8(static_cast<uint8_t>(kBTruncSatBase + sub));
+            emit8(trunc_sat_op(sub));
           } else if (sub == kMemoryCopy) {
             WASMCTR_RETURN_IF_ERROR(r.skip(2));
             emit8(kBMemoryCopy);

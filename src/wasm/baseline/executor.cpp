@@ -332,40 +332,40 @@ Status Executor::run(uint32_t func_index, std::size_t base) {
         break;
       }
 
-      // Saturating truncations (kBTruncSatBase + FcOpcode).
-      case kBTruncSatBase + kI32TruncSatF32S:
+      // Saturating truncations (trunc_sat_op of the FcOpcode).
+      case trunc_sat_op(kI32TruncSatF32S):
         sl[sp - 1] = u32p(static_cast<uint32_t>(
             trunc_sat<int32_t>(f32s(sl[sp - 1]))));
         ++pc;
         break;
-      case kBTruncSatBase + kI32TruncSatF32U:
+      case trunc_sat_op(kI32TruncSatF32U):
         sl[sp - 1] = u32p(trunc_sat<uint32_t>(f32s(sl[sp - 1])));
         ++pc;
         break;
-      case kBTruncSatBase + kI32TruncSatF64S:
+      case trunc_sat_op(kI32TruncSatF64S):
         sl[sp - 1] = u32p(static_cast<uint32_t>(
             trunc_sat<int32_t>(f64s(sl[sp - 1]))));
         ++pc;
         break;
-      case kBTruncSatBase + kI32TruncSatF64U:
+      case trunc_sat_op(kI32TruncSatF64U):
         sl[sp - 1] = u32p(trunc_sat<uint32_t>(f64s(sl[sp - 1])));
         ++pc;
         break;
-      case kBTruncSatBase + kI64TruncSatF32S:
+      case trunc_sat_op(kI64TruncSatF32S):
         sl[sp - 1] = u64p(static_cast<uint64_t>(
             trunc_sat<int64_t>(f32s(sl[sp - 1]))));
         ++pc;
         break;
-      case kBTruncSatBase + kI64TruncSatF32U:
+      case trunc_sat_op(kI64TruncSatF32U):
         sl[sp - 1] = u64p(trunc_sat<uint64_t>(f32s(sl[sp - 1])));
         ++pc;
         break;
-      case kBTruncSatBase + kI64TruncSatF64S:
+      case trunc_sat_op(kI64TruncSatF64S):
         sl[sp - 1] = u64p(static_cast<uint64_t>(
             trunc_sat<int64_t>(f64s(sl[sp - 1]))));
         ++pc;
         break;
-      case kBTruncSatBase + kI64TruncSatF64U:
+      case trunc_sat_op(kI64TruncSatF64U):
         sl[sp - 1] = u64p(trunc_sat<uint64_t>(f64s(sl[sp - 1])));
         ++pc;
         break;
