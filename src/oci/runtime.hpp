@@ -265,7 +265,8 @@ class RunwasiShim final : public OciRuntimeBase {
 
  protected:
   [[nodiscard]] double exec_cpu_s() const override {
-    return engines::kInfra.shim_spawn_cpu_s + engines::kInfra.runwasi_create_cpu_s;
+    return engines::kInfra.shim_spawn_cpu_s +
+           engines::kInfra.runwasi_create_cpu_s;
   }
   /// ttrpc/event plumbing next to the per-pod kernel objects (netns,
   /// veth, cgroup structs) an OCI runtime would create.

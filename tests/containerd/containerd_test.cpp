@@ -226,10 +226,11 @@ TEST_F(ContainerdTest, RemovedRunwasiShimsStopSlowingLaterStarts) {
     req.image = "svc:wasm";
     const SimTime t0 = node_.kernel().now();
     SimTime running_at{};
-    auto cid = ctrd_.create_and_start(*sb, req, "wasmtime-shim", [&](Status st) {
-      EXPECT_TRUE(st.is_ok()) << st.to_string();
-      running_at = node_.kernel().now();
-    });
+    auto cid = ctrd_.create_and_start(
+        *sb, req, "wasmtime-shim", [&](Status st) {
+          EXPECT_TRUE(st.is_ok()) << st.to_string();
+          running_at = node_.kernel().now();
+        });
     EXPECT_TRUE(cid.is_ok());
     node_.kernel().run();
     EXPECT_TRUE(ctrd_.remove_pod_sandbox(*sb).is_ok());
