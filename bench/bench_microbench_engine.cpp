@@ -41,8 +41,8 @@ BENCHMARK(BM_ValidateMicroservice);
 
 void BM_InstantiateAndRunMicroservice(benchmark::State& state) {
   const auto bytes = wasm::build_minimal_microservice();
-  const engines::Engine wamr =
-      engines::make_crun_engine(engines::EngineKind::kWamr);
+  const engines::Engine& wamr = *engines::installed(
+      engines::Integration::kCrun, engines::EngineKind::kWamr);
   for (auto _ : state) {
     wasi::VirtualFs fs;
     wasi::WasiOptions opts;

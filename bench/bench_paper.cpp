@@ -498,7 +498,9 @@ int ablation(const Samples& samples) {
   for (const uint32_t n : kDensities) {
     const Sample& s = find(samples, DeployConfig::kCrunWamr, n);
     const double shared_mib =
-        engines::crun_engine_profile(engines::EngineKind::kWamr)
+        engines::installed(engines::Integration::kCrun,
+                           engines::EngineKind::kWamr)
+            ->profile()
             .shared_lib.mib();
     // Without sharing, every container would privately map the library.
     const double without = s.free_mib + shared_mib * (1.0 - 1.0 / n);

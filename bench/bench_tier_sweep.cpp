@@ -91,8 +91,8 @@ TierCell run_cell(DeployConfig config, Tier tier, uint32_t density,
   if (tier == Tier::kBaseline) {
     // Same measurement the runtime path feeds into map_shared and the
     // compile burst: the module every figure bench deploys.
-    const engines::Engine engine =
-        engines::make_crun_engine(engine_kind_of(config));
+    const engines::Engine& engine = *engines::installed(
+        engines::Integration::kCrun, engine_kind_of(config));
     auto m = engine.measure_compile(wasm::build_minimal_microservice());
     if (m.is_ok()) {
       cell.compile = *m;

@@ -126,9 +126,6 @@ constexpr EngineProfile kShimEngineProfiles[] = {
     {EngineKind::kWasmEdge, Tier::kBaseline, Bytes(6000 * 1024),  Bytes(6000 * 1024),  2.0, 0.19, 0.0003, 0.0023, 0.0, false},
 };
 
-const EngineProfile& crun_engine_profile(EngineKind kind);
-const EngineProfile& shim_engine_profile(EngineKind kind);
-
 // --- Python baseline (paper §IV-D) ---
 
 /// CPython-equivalent profile: libpython mapped shared; interpreter state,

@@ -11,7 +11,7 @@ namespace wasmctr::engines {
 namespace {
 
 /// Bench-controlled tier override (ScopedTierOverride). Process-global
-/// because the engines are long-lived per-node statics; the simulation is
+/// because the engines are process-wide installations; the simulation is
 /// single-threaded, and benches run their cells sequentially.
 std::optional<Tier> g_tier_override;
 
@@ -38,31 +38,27 @@ Tier Engine::tier() const noexcept {
   return g_tier_override.value_or(profile_.tier);
 }
 
-const EngineProfile& crun_engine_profile(EngineKind kind) {
-  for (const EngineProfile& p : kCrunEngineProfiles) {
-    if (p.kind == kind) return p;
+const Engine* installed(Integration integration, EngineKind kind) {
+  static const std::vector<Engine> engines = [] {
+    std::vector<Engine> all;
+    for (const EngineProfile& p : kCrunEngineProfiles) {
+      all.emplace_back(p, Integration::kCrun);
+    }
+    for (const EngineProfile& p : kShimEngineProfiles) {
+      all.emplace_back(p, Integration::kRunwasi);
+    }
+    return all;
+  }();
+  for (const Engine& e : engines) {
+    if (e.integration() == integration && e.kind() == kind) return &e;
   }
-  return kCrunEngineProfiles[0];
-}
-
-const EngineProfile& shim_engine_profile(EngineKind kind) {
-  for (const EngineProfile& p : kShimEngineProfiles) {
-    if (p.kind == kind) return p;
-  }
-  return kShimEngineProfiles[0];
-}
-
-Engine make_crun_engine(EngineKind kind) {
-  return Engine(crun_engine_profile(kind), /*shim_flavor=*/false);
-}
-
-Engine make_shim_engine(EngineKind kind) {
-  return Engine(shim_engine_profile(kind), /*shim_flavor=*/true);
+  return nullptr;
 }
 
 std::string Engine::library_name() const {
-  return std::string(shim_flavor_ ? "containerd-shim-" : "lib") +
-         engine_name(profile_.kind) + (shim_flavor_ ? "" : ".so");
+  const bool shim = integration_ == Integration::kRunwasi;
+  return std::string(shim ? "containerd-shim-" : "lib") +
+         engine_name(profile_.kind) + (shim ? "" : ".so");
 }
 
 Result<std::shared_ptr<const wasm::baseline::CompiledModule>>
@@ -85,45 +81,57 @@ Result<CompileMeasurement> Engine::measure_compile(
   return measure_of(*compiled);
 }
 
-Result<ExecutionReport> Engine::run_module(
+Result<std::unique_ptr<WasiInstance>> Engine::instantiate(
     std::span<const uint8_t> module_bytes, wasi::WasiOptions wasi_options,
     wasi::VirtualFs& fs, uint64_t fuel) const {
   WASMCTR_ASSIGN_OR_RETURN(wasm::Module module,
                            wasm::decode_module(module_bytes));
   WASMCTR_RETURN_IF_ERROR(wasm::validate_module(module));
 
-  ExecutionReport report;
-  report.tier = tier();
+  // Baseline tier runs the node's compiled artifact (memoized above).
   std::shared_ptr<const wasm::baseline::CompiledModule> compiled;
-  if (report.tier == Tier::kBaseline) {
+  CompileMeasurement compile;
+  if (tier() == Tier::kBaseline) {
     WASMCTR_ASSIGN_OR_RETURN(compiled, compiled_module(module_bytes));
-    report.compile = measure_of(*compiled);
+    compile = measure_of(*compiled);
   }
 
-  wasi::WasiContext ctx(std::move(wasi_options), fs);
+  auto live = std::make_unique<WasiInstance>(std::move(wasi_options), fs);
+  live->compile = compile;
   wasm::ImportResolver resolver;
-  ctx.register_imports(resolver);
+  live->ctx.register_imports(resolver);
 
   wasm::ExecLimits limits;
-  limits.fuel = fuel;  // sandbox: no unbounded startup loops
+  limits.fuel = fuel;  // sandbox: no unbounded loops
   WASMCTR_ASSIGN_OR_RETURN(
-      auto instance, wasm::Instance::instantiate(std::move(module), resolver,
-                                                 limits, compiled));
+      live->instance, wasm::Instance::instantiate(std::move(module), resolver,
+                                                  limits, std::move(compiled)));
+  return live;
+}
 
-  auto r = instance->invoke("_start");
+Result<ExecutionReport> Engine::run_module(
+    std::span<const uint8_t> module_bytes, wasi::WasiOptions wasi_options,
+    wasi::VirtualFs& fs, uint64_t fuel) const {
+  ExecutionReport report;
+  report.tier = tier();
+  WASMCTR_ASSIGN_OR_RETURN(
+      auto live, instantiate(module_bytes, std::move(wasi_options), fs, fuel));
+  report.compile = live->compile;
+
+  auto r = live->instance->invoke("_start");
   if (!r) {
     if (r.status().code() == ErrorCode::kTrap &&
-        r.status().message() == "proc_exit" && ctx.exited()) {
-      report.exit_code = ctx.exit_code();
+        r.status().message() == "proc_exit" && live->ctx.exited()) {
+      report.exit_code = live->ctx.exit_code();
     } else {
       return r.status();  // genuine trap or missing export
     }
   }
-  report.stdout_data = ctx.stdout_data();
-  report.stderr_data = ctx.stderr_data();
-  report.instructions = instance->instructions_retired();
+  report.stdout_data = live->ctx.stdout_data();
+  report.stderr_data = live->ctx.stderr_data();
+  report.instructions = live->instance->instructions_retired();
   report.measured_instance =
-      Bytes(instance->resident_bytes() + ctx.resident_bytes());
+      Bytes(live->instance->resident_bytes() + live->ctx.resident_bytes());
   report.modeled_instance = Bytes(static_cast<uint64_t>(
       static_cast<double>(report.measured_instance.value) *
       profile_.instance_multiplier));
@@ -131,23 +139,29 @@ Result<ExecutionReport> Engine::run_module(
 }
 
 StartupCost Engine::startup_cost(std::size_t module_size,
-                                 bool node_has_cached_module,
                                  const CompileMeasurement* compile) const {
   StartupCost cost;
   cost.init_cpu_s = profile_.init_cpu_s;
   const double kib = static_cast<double>(module_size) / 1024.0;
   cost.load_cpu_s = profile_.load_cpu_s_per_kib * kib;
-  if (tier() != Tier::kBaseline || compile == nullptr) return cost;
-  if (profile_.shared_compile_cache) {
-    if (node_has_cached_module) {
-      cost.cache_load_cpu_s = profile_.cache_load_cpu_s;
-    } else {
-      cost.shared_compile_cpu_s = compile_cpu_s(*compile);
-    }
-  } else {
+  if (tier() == Tier::kBaseline && compile != nullptr) {
     cost.compile_cpu_s = compile_cpu_s(*compile);
   }
   return cost;
+}
+
+Result<std::unique_ptr<PythonInstance>> run_python(
+    std::string_view script, std::vector<std::string> argv,
+    std::vector<std::pair<std::string, std::string>> env) {
+  WASMCTR_ASSIGN_OR_RETURN(pylite::Program program,
+                           pylite::parse_source(script));
+  pylite::InterpOptions opts;
+  opts.argv = std::move(argv);
+  opts.env = std::move(env);
+  auto py = std::make_unique<PythonInstance>(std::move(program),
+                                             std::move(opts));
+  WASMCTR_RETURN_IF_ERROR(py->interp.run(py->program));
+  return py;
 }
 
 }  // namespace wasmctr::engines

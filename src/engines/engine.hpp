@@ -2,9 +2,10 @@
 // or the baseline bytecode tier (with WASI) and reports measured +
 // profile-modeled footprints.
 //
-// One Engine object per engine kind per node (engines share their .so
-// across containers); each container execution produces an
-// ExecutionReport the container runtime feeds into the memory model.
+// One Engine object per integration × engine kind (installed()) serves
+// every container, as engines share their .so across containers; each
+// container execution produces an ExecutionReport the container runtime
+// feeds into the memory model.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +13,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "engines/calibration.hpp"
+#include "pylite/ast.hpp"
+#include "pylite/interp.hpp"
 #include "support/status.hpp"
 #include "wasi/wasi.hpp"
 
@@ -57,22 +62,49 @@ struct ExecutionReport {
   Bytes modeled_instance;
 };
 
-/// Startup CPU demand for one container using this engine.
+/// Startup CPU demand for one container using this engine. Whether the
+/// compile is paid per pod or once per node through a shared artifact
+/// cache is the container runtime's call (OciRuntimeBase::launch_wasm).
 struct StartupCost {
-  double init_cpu_s = 0;       ///< engine runtime initialization
-  double load_cpu_s = 0;       ///< per-container module decode/validate
-  double compile_cpu_s = 0;    ///< per-container compile (no shared cache)
-  double shared_compile_cpu_s = 0;  ///< once-per-node compile (0 = none)
-  double cache_load_cpu_s = 0; ///< per-container cost after the shared compile
+  double init_cpu_s = 0;     ///< engine runtime initialization
+  double load_cpu_s = 0;     ///< per-container module decode/validate
+  double compile_cpu_s = 0;  ///< measured baseline-tier compile
 };
+
+/// A module instantiated under WASI, ready to invoke. `ctx` is declared
+/// before `instance` so the instance (whose host funcs point into the
+/// context) is destroyed first.
+struct WasiInstance {
+  WasiInstance(wasi::WasiOptions options, wasi::VirtualFs& fs)
+      : ctx(std::move(options), fs) {}
+  wasi::WasiContext ctx;
+  std::unique_ptr<wasm::Instance> instance;
+  /// Filled on the baseline tier: the real compile of this module.
+  CompileMeasurement compile;
+};
+
+/// A pylite script after its top level ran: `interp` holds functions
+/// whose bodies live in `program`, so both stay together.
+struct PythonInstance {
+  PythonInstance(pylite::Program p, pylite::InterpOptions options)
+      : program(std::move(p)), interp(std::move(options)) {}
+  pylite::Program program;
+  pylite::Interp interp;
+};
+
+/// Parse `script` and run its top level under pylite — the Python twin
+/// of Engine::instantiate, shared by container start and cold serving.
+Result<std::unique_ptr<PythonInstance>> run_python(
+    std::string_view script, std::vector<std::string> argv,
+    std::vector<std::pair<std::string, std::string>> env);
 
 /// Default fuel budget for a container start: generous enough for every
 /// real workload, finite so no startup loop runs unbounded (§III-C item 3).
 inline constexpr uint64_t kDefaultStartupFuel = 50'000'000;
 
 /// Process-global tier override, set by benches to sweep both tiers over
-/// the same engine profiles (the engines themselves are long-lived
-/// per-node statics). nullopt = every engine uses its profile default.
+/// the same engine profiles (the engines themselves are the process-wide
+/// installations of installed()). nullopt = every engine uses its profile default.
 void set_tier_override(std::optional<Tier> tier);
 [[nodiscard]] std::optional<Tier> tier_override();
 
@@ -90,26 +122,40 @@ class ScopedTierOverride {
   std::optional<Tier> prev_;
 };
 
-/// An engine installation on a node (crun-embedded or runwasi-shim flavor).
+/// How an engine reaches the container (paper Fig 1's two paths): run by
+/// crun (embedded or exec'd), or linked into a runwasi containerd shim.
+enum class Integration { kCrun, kRunwasi };
+
+/// An engine installation on a node.
 class Engine {
  public:
-  Engine(EngineProfile profile, bool shim_flavor)
-      : profile_(profile), shim_flavor_(shim_flavor) {}
+  Engine(EngineProfile profile, Integration integration)
+      : profile_(profile), integration_(integration) {}
 
   [[nodiscard]] const EngineProfile& profile() const noexcept {
     return profile_;
   }
   [[nodiscard]] EngineKind kind() const noexcept { return profile_.kind; }
+  [[nodiscard]] Integration integration() const noexcept {
+    return integration_;
+  }
   [[nodiscard]] std::string library_name() const;
 
   /// Effective execution tier: the global override if set, else the
   /// profile default.
   [[nodiscard]] Tier tier() const noexcept;
 
-  /// Decode + validate + instantiate + run `_start` under WASI. The module
-  /// actually executes (through the baseline bytecode when tier() is
-  /// kBaseline); proc_exit(0) is success. `fuel` caps executed
-  /// instructions — the fault injector passes a tiny budget to force a
+  /// Decode + validate + (baseline tier) fetch the compiled artifact +
+  /// build the WASI context and its imports + instantiate, with `fuel`
+  /// capping executed instructions. Container start and cold serving
+  /// both stand their instances up here.
+  Result<std::unique_ptr<WasiInstance>> instantiate(
+      std::span<const uint8_t> module_bytes, wasi::WasiOptions wasi_options,
+      wasi::VirtualFs& fs, uint64_t fuel) const;
+
+  /// instantiate() + run `_start`. The module actually executes (through
+  /// the baseline bytecode when tier() is kBaseline); proc_exit(0) is
+  /// success. The fault injector passes a tiny `fuel` budget to force a
   /// genuine "all fuel consumed" trap through the whole stack.
   Result<ExecutionReport> run_module(std::span<const uint8_t> module_bytes,
                                      wasi::WasiOptions wasi_options,
@@ -133,27 +179,27 @@ class Engine {
   }
 
   /// CPU demand to start one container with a module of `module_size`.
-  /// `node_has_cached_module` selects the cache-hit path for engines with
-  /// a shared compilation cache (the crun JIT integrations). `compile`
-  /// (optional) is the measured module; without it no compile stage is
-  /// charged (interpreter tier, or callers that model compile elsewhere).
+  /// `compile` (optional) is the measured module; without it, or on the
+  /// interpreter tier, no compile stage is charged.
   [[nodiscard]] StartupCost startup_cost(
-      std::size_t module_size, bool node_has_cached_module,
+      std::size_t module_size,
       const CompileMeasurement* compile = nullptr) const;
 
  private:
   EngineProfile profile_;
-  bool shim_flavor_;
+  Integration integration_;
   /// Content-hash-keyed compiled artifacts. Wall-clock memoization only:
-  /// the virtual-time cost of compiling is modeled by the callers (the
-  /// CompileCache for shared-cache engines, per-pod bursts otherwise).
+  /// the virtual-time cost of compiling is modeled by the container
+  /// runtime (a node CompileCache for shared-cache engines, per-pod
+  /// bursts otherwise).
   mutable std::map<uint64_t,
                    std::shared_ptr<const wasm::baseline::CompiledModule>>
       compiled_cache_;
 };
 
-/// Factories resolving the calibrated profiles.
-Engine make_crun_engine(EngineKind kind);
-Engine make_shim_engine(EngineKind kind);
+/// The process's one installation of `kind` under `integration`, built
+/// from the calibrated profiles and alive for the whole run; nullptr where
+/// that integration ships no such engine (there is no WAMR runwasi shim).
+const Engine* installed(Integration integration, EngineKind kind);
 
 }  // namespace wasmctr::engines

@@ -4,12 +4,7 @@
 #include <utility>
 #include <variant>
 
-#include "pylite/ast.hpp"
-#include "pylite/interp.hpp"
 #include "sim/node.hpp"
-#include "wasm/decoder.hpp"
-#include "wasm/exec/instance.hpp"
-#include "wasm/validator.hpp"
 
 namespace wasmctr::engines {
 
@@ -22,21 +17,18 @@ struct ServeSlot::State {
   Kind kind;
   sim::Node* node = nullptr;
 
-  // Wasm flavor. `ctx` is declared before `instance` so the instance
-  // (whose host funcs point into the context) is destroyed first.
+  // Wasm flavor.
   const Engine* engine = nullptr;
   std::vector<uint8_t> module_bytes;
   wasi::WasiOptions wasi_options;
   std::string export_name;
-  std::unique_ptr<wasi::WasiContext> ctx;
-  std::unique_ptr<wasm::Instance> instance;
+  std::unique_ptr<WasiInstance> wasm;
 
   // Python flavor.
   std::string script;
   std::vector<std::string> argv;
   std::vector<std::pair<std::string, std::string>> env;
-  std::unique_ptr<pylite::Program> program;
-  std::unique_ptr<pylite::Interp> interp;
+  std::unique_ptr<PythonInstance> python;
 
   bool closed = false;
   bool busy = false;
@@ -115,14 +107,12 @@ void ServeSlot::close(Status reason) {
     s.node->obs().tracer.end_span(p.queue_span);
     if (p.done) p.done(s.close_reason);
   }
-  s.instance.reset();
-  s.ctx.reset();
-  s.interp.reset();
-  s.program.reset();
+  s.wasm.reset();
+  s.python.reset();
 }
 
 bool ServeSlot::warm() const noexcept {
-  return state_->instance != nullptr || state_->interp != nullptr;
+  return state_->wasm != nullptr || state_->python != nullptr;
 }
 
 uint32_t ServeSlot::outstanding() const noexcept {
@@ -181,31 +171,13 @@ Result<InvokeReport> run_wasm_request(ServeSlot::State& s, int32_t arg,
                                       double& cpu_s) {
   InvokeReport rep;
   cpu_s = kInfra.invoke_overhead_cpu_s;
-  if (!s.instance) {
+  if (!s.wasm) {
     // Cold: stand up the serving instance inside the running container.
-    WASMCTR_ASSIGN_OR_RETURN(wasm::Module module,
-                             wasm::decode_module(s.module_bytes));
-    WASMCTR_RETURN_IF_ERROR(wasm::validate_module(module));
     // Baseline tier serves from the node's compiled artifact (memoized in
     // the Engine, shared with the startup path — no recompile here).
-    std::shared_ptr<const wasm::baseline::CompiledModule> compiled;
-    if (s.engine->tier() == Tier::kBaseline) {
-      WASMCTR_ASSIGN_OR_RETURN(compiled,
-                               s.engine->compiled_module(s.module_bytes));
-    }
-    s.ctx = std::make_unique<wasi::WasiContext>(s.wasi_options,
-                                                s.node->fs());
-    wasm::ImportResolver resolver;
-    s.ctx->register_imports(resolver);
-    wasm::ExecLimits limits;
-    limits.fuel = kRequestFuel;
-    auto inst = wasm::Instance::instantiate(std::move(module), resolver,
-                                            limits, std::move(compiled));
-    if (!inst) {
-      s.ctx.reset();
-      return inst.status();
-    }
-    s.instance = std::move(*inst);
+    WASMCTR_ASSIGN_OR_RETURN(
+        s.wasm, s.engine->instantiate(s.module_bytes, s.wasi_options,
+                                      s.node->fs(), kRequestFuel));
     rep.cold = true;
     const double kib =
         static_cast<double>(s.module_bytes.size()) / 1024.0;
@@ -213,13 +185,14 @@ Result<InvokeReport> run_wasm_request(ServeSlot::State& s, int32_t arg,
              s.engine->profile().load_cpu_s_per_kib * kib;
   }
 
-  s.instance->set_fuel(kRequestFuel);
-  const uint64_t before = s.instance->instructions_retired();
+  wasm::Instance& instance = *s.wasm->instance;
+  instance.set_fuel(kRequestFuel);
+  const uint64_t before = instance.instructions_retired();
   const uint32_t pages_before =
-      s.instance->memory() != nullptr ? s.instance->memory()->pages() : 0;
+      instance.memory() != nullptr ? instance.memory()->pages() : 0;
   const wasm::Value args[] = {wasm::Value::from_i32(arg)};
-  auto r = s.instance->invoke(s.export_name, args);
-  const uint64_t instructions = s.instance->instructions_retired() - before;
+  auto r = instance.invoke(s.export_name, args);
+  const uint64_t instructions = instance.instructions_retired() - before;
   rep.instructions = instructions;
   // The tier, not the engine brand, prices dispatch: an interpreter
   // retires guest instructions an order of magnitude slower than the
@@ -232,15 +205,15 @@ Result<InvokeReport> run_wasm_request(ServeSlot::State& s, int32_t arg,
   if (r->has_value()) rep.result = (*r)->i32();
   if (rep.cold) {
     rep.resident = Bytes(static_cast<uint64_t>(
-        static_cast<double>(s.instance->resident_bytes() +
-                            s.ctx->resident_bytes()) *
+        static_cast<double>(instance.resident_bytes() +
+                            s.wasm->ctx.resident_bytes()) *
         s.engine->profile().instance_multiplier));
-  } else if (s.instance->memory() != nullptr &&
-             s.instance->memory()->pages() > pages_before) {
+  } else if (instance.memory() != nullptr &&
+             instance.memory()->pages() > pages_before) {
     // Warm memory.grow: the cold resident was measured post-invoke and
     // already covers cold growth, so only warm deltas are reported here.
     const uint64_t delta_bytes =
-        (static_cast<uint64_t>(s.instance->memory()->pages()) -
+        (static_cast<uint64_t>(instance.memory()->pages()) -
          pages_before) *
         65536ull;
     rep.grown = Bytes(static_cast<uint64_t>(
@@ -254,30 +227,19 @@ Result<InvokeReport> run_python_request(ServeSlot::State& s, int32_t arg,
                                         double& cpu_s) {
   InvokeReport rep;
   cpu_s = kInfra.invoke_overhead_cpu_s;
-  if (!s.interp) {
-    WASMCTR_ASSIGN_OR_RETURN(pylite::Program program,
-                             pylite::parse_source(s.script));
-    s.program = std::make_unique<pylite::Program>(std::move(program));
-    pylite::InterpOptions opts;
-    opts.argv = s.argv;
-    opts.env = s.env;
-    auto interp = std::make_unique<pylite::Interp>(std::move(opts));
-    Status run_status = interp->run(*s.program);
-    if (!run_status.is_ok()) {
-      s.program.reset();
-      return run_status;
-    }
-    s.interp = std::move(interp);
+  if (!s.python) {
+    WASMCTR_ASSIGN_OR_RETURN(s.python, run_python(s.script, s.argv, s.env));
     rep.cold = true;
     cpu_s += kInfra.python_handler_compile_cpu_s;
   }
 
-  s.interp->set_step_limit(s.interp->steps_executed() + kRequestStepBudget);
-  const uint64_t before = s.interp->steps_executed();
+  pylite::Interp& interp = s.python->interp;
+  interp.set_step_limit(interp.steps_executed() + kRequestStepBudget);
+  const uint64_t before = interp.steps_executed();
   std::vector<pylite::PyValue> args;
   args.push_back(pylite::PyValue::integer(arg));
-  auto r = s.interp->call("handle", std::move(args));
-  const uint64_t steps = s.interp->steps_executed() - before;
+  auto r = interp.call("handle", std::move(args));
+  const uint64_t steps = interp.steps_executed() - before;
   rep.instructions = steps;
   cpu_s +=
       kInfra.invoke_interp_cpu_s_per_kinst * static_cast<double>(steps) / 1000.0;
@@ -287,8 +249,8 @@ Result<InvokeReport> run_python_request(ServeSlot::State& s, int32_t arg,
   }
   if (rep.cold) {
     rep.resident = Bytes(static_cast<uint64_t>(
-        static_cast<double>(s.interp->resident_bytes() +
-                            s.program->resident_bytes()) *
+        static_cast<double>(interp.resident_bytes() +
+                            s.python->program.resident_bytes()) *
         kPythonProfile.instance_multiplier));
   }
   return rep;

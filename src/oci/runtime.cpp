@@ -162,9 +162,9 @@ void OciRuntimeBase::invoke(const std::string& id, int32_t arg,
       rec.serve = std::make_unique<engines::ServeSlot>(
           node_, rec.bundle.payload.script, rec.bundle.spec.args,
           rec.bundle.spec.env);
-    } else if (rec.serve_engine != nullptr) {
+    } else if (engine_ != nullptr) {
       rec.serve = std::make_unique<engines::ServeSlot>(
-          node_, *rec.serve_engine, rec.bundle.payload.wasm,
+          node_, *engine_, rec.bundle.payload.wasm,
           wasi_options_for(rec.bundle, rec.info.id));
     } else {
       if (done) {
@@ -225,17 +225,111 @@ wasi::WasiOptions wasi_options_for(const Bundle& bundle,
   return opts;
 }
 
-void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
-                                        ContainerRecord& rec,
-                                        const std::string& process,
-                                        OnRunning on_running) {
+Crun::Crun(sim::Node& node, std::optional<engines::EngineKind> wasm_backend)
+    : OciRuntimeBase(
+          node,
+          wasm_backend ? engines::installed(engines::Integration::kCrun,
+                                            *wasm_backend)
+                       : nullptr,
+          // Embedded WAMR runs as crun itself; crun execs the other
+          // engines' CLIs as the container process.
+          !wasm_backend ? ""
+          : *wasm_backend == engines::EngineKind::kWamr
+              ? "crun-wamr"
+              : engines::engine_name(*wasm_backend)),
+      wasm_backend_(wasm_backend) {}
+
+void OciRuntimeBase::launch_workload(ContainerRecord& rec,
+                                     OnRunning on_running) {
+  if (rec.bundle.payload.kind == Payload::Kind::kPython) {
+    if (shim_is_workload()) {
+      fail(rec, unimplemented(name() + " has no python handler"), on_running);
+      return;
+    }
+    launch_python(rec, std::move(on_running));
+    return;
+  }
+  if (!rec.bundle.spec.wants_wasm_handler()) {
+    fail(rec,
+         invalid_argument("wasm payload without wasm handler annotation"),
+         on_running);
+    return;
+  }
+  if (engine_ == nullptr) {
+    fail(rec, unimplemented(name() + " has no wasm handler"), on_running);
+    return;
+  }
+  launch_wasm(rec, std::move(on_running));
+}
+
+void OciRuntimeBase::launch_wasm(ContainerRecord& rec, OnRunning on_running) {
+  const engines::Engine& engine = *engine_;
+  // The shim boots the engine itself: its exec is part of engine.load.
+  const double extra_cpu_s = shim_is_workload() ? exec_cpu_s() : 0.0;
+  // Only a baseline-tier engine has anything to compile; its cost is
+  // measured from the real module (the singlepass compiler's op count ×
+  // the engine's per-kop rate).
+  std::optional<engines::CompileMeasurement> measured;
+  if (engine.tier() == engines::Tier::kBaseline && prices_compile()) {
+    if (auto m = engine.measure_compile(rec.bundle.payload.wasm); m.is_ok()) {
+      measured = *m;
+    }
+  }
+  const engines::StartupCost cost = engine.startup_cost(
+      rec.bundle.payload.size(), measured ? &*measured : nullptr);
+  node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "engine.load",
+                               "engines");
+  const auto finish = [this, id = rec.info.id,
+                       on_running = std::move(on_running)] {
+    auto it = containers_.find(id);
+    if (it == containers_.end()) return;
+    finish_wasm_launch(it->second, on_running);
+  };
+  if (!measured || !engine.profile().shared_compile_cache) {
+    // Private compile (or none): one burst.
+    node_.burst(extra_cpu_s + cost.init_cpu_s + cost.load_cpu_s +
+                    cost.compile_cpu_s,
+                finish);
+    return;
+  }
+  // Shared compile cache: the first starter compiles, concurrent ones wait
+  // for it, later ones load the artifact. Neither pays the decode/validate
+  // load — the cached artifact replaces it.
+  const std::string key = "module:" + rec.bundle.spec.args[0] + ":" +
+                          std::to_string(rec.bundle.payload.size());
+  const double cache_load_cpu_s = engine.profile().cache_load_cpu_s;
+  const auto continue_with = [this, extra_cpu_s, init = cost.init_cpu_s,
+                              finish](double after_compile_cpu_s) {
+    node_.burst(extra_cpu_s + init + after_compile_cpu_s, finish);
+  };
+  switch (compile_cache_.lookup(key, [continue_with, cache_load_cpu_s] {
+    continue_with(cache_load_cpu_s);
+  })) {
+    case engines::CompileCache::Outcome::kHit:
+      continue_with(cache_load_cpu_s);
+      return;
+    case engines::CompileCache::Outcome::kMiss:
+      // This container compiles; publish when the burst completes.
+      node_.burst(cost.compile_cpu_s, [this, key, continue_with] {
+        compile_cache_.publish(key);
+        continue_with(0.0);
+      });
+      return;
+    case engines::CompileCache::Outcome::kWait:
+      return;  // queued callback fires at publish()
+  }
+}
+
+void OciRuntimeBase::finish_wasm_launch(ContainerRecord& rec,
+                                        const OnRunning& on_running) {
+  const engines::Engine& engine = *engine_;
   node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "wasi.start",
                                "engines");
   // Injected shim crash: a runwasi shim dies while booting, before its
   // engine ever runs.
   if (shim_is_workload() && injected(sim::FaultKind::kShimCrash, rec)) {
     fail(rec,
-         unavailable(process + " for " + std::string(fault_target(rec)) +
+         unavailable(process_ + " for " + std::string(fault_target(rec)) +
                      " crashed during boot (injected)"),
          on_running);
     return;
@@ -269,7 +363,7 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
   // A runwasi shim process is spawned only now, into the pod cgroup.
   if (shim_is_workload()) enter_cgroup(rec);
   mem::Cgroup* cg = node_.cgroups().find(rec.info.cgroup_path);
-  auto pid = node_.procs().spawn(process + ":" + rec.info.id, cg);
+  auto pid = node_.procs().spawn(process_ + ":" + rec.info.id, cg);
   if (!pid) {
     fail(rec, pid.status(), on_running);
     return;
@@ -313,55 +407,7 @@ void OciRuntimeBase::finish_wasm_launch(const engines::Engine& engine,
   rec.info.exit_code = report->exit_code;
   rec.info.stdout_data = report->stdout_data;
   rec.info.instructions = report->instructions;
-  rec.serve_engine = &engine;  // every Engine here is a persistent static
   if (on_running) on_running(Status::ok());
-}
-
-void OciRuntimeBase::launch_wasm_exec(const engines::Engine& engine,
-                                      ContainerRecord& rec,
-                                      OnRunning on_running) {
-  const engines::StartupCost cost =
-      engine.startup_cost(rec.bundle.payload.size(), false);
-  const std::string id = rec.info.id;
-  node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "engine.load",
-                               "engines");
-  node_.burst(cost.init_cpu_s + cost.load_cpu_s,
-              [this, id, &engine, on_running = std::move(on_running)] {
-                auto it = containers_.find(id);
-                if (it == containers_.end()) return;
-                finish_wasm_launch(engine, it->second,
-                                   engines::engine_name(engine.kind()),
-                                   on_running);
-              });
-}
-
-void OciRuntimeBase::launch_wasm_compiled(const engines::Engine& engine,
-                                          ContainerRecord& rec,
-                                          double extra_cpu_s,
-                                          std::string process,
-                                          OnRunning on_running) {
-  engines::CompileMeasurement measured;
-  const engines::CompileMeasurement* meas_ptr = nullptr;
-  if (engine.tier() == engines::Tier::kBaseline &&
-      rec.bundle.payload.kind == Payload::Kind::kWasm) {
-    if (auto m = engine.measure_compile(rec.bundle.payload.wasm); m.is_ok()) {
-      measured = *m;
-      meas_ptr = &measured;
-    }
-  }
-  const engines::StartupCost cost =
-      engine.startup_cost(rec.bundle.payload.size(), false, meas_ptr);
-  const std::string id = rec.info.id;
-  node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "engine.load",
-                               "engines");
-  node_.burst(extra_cpu_s + cost.init_cpu_s + cost.load_cpu_s +
-                  cost.compile_cpu_s,
-              [this, id, &engine, process = std::move(process),
-               on_running = std::move(on_running)] {
-                auto it = containers_.find(id);
-                if (it == containers_.end()) return;
-                finish_wasm_launch(engine, it->second, process, on_running);
-              });
 }
 
 void OciRuntimeBase::launch_python(ContainerRecord& rec,
@@ -389,18 +435,10 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
     }
 
     // Parse + execute the script for real with pylite.
-    auto program = pylite::parse_source(rec.bundle.payload.script);
-    if (!program) {
-      fail(rec, program.status(), on_running);
-      return;
-    }
-    pylite::InterpOptions opts;
-    opts.argv = rec.bundle.spec.args;
-    opts.env = rec.bundle.spec.env;
-    pylite::Interp interp(std::move(opts));
-    Status run_status = interp.run(*program);
-    if (!run_status.is_ok()) {
-      fail(rec, std::move(run_status), on_running);
+    auto py = engines::run_python(rec.bundle.payload.script,
+                                  rec.bundle.spec.args, rec.bundle.spec.env);
+    if (!py) {
+      fail(rec, py.status(), on_running);
       return;
     }
 
@@ -416,8 +454,8 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
         proc->map_shared(libpython, engines::kPythonProfile.shared_lib);
     if (st.is_ok()) {
       const Bytes script_heap = Bytes(static_cast<uint64_t>(
-          static_cast<double>(interp.resident_bytes() +
-                              program->resident_bytes()) *
+          static_cast<double>((*py)->interp.resident_bytes() +
+                              (*py)->program.resident_bytes()) *
           engines::kPythonProfile.instance_multiplier));
       st = proc->add_anon(kInfra.process_base + process_residual() +
                           engines::kPythonProfile.private_fixed + script_heap);
@@ -433,154 +471,10 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
     }
     rec.info.pid = *pid;
     rec.info.state = ContainerState::kRunning;
-    rec.info.stdout_data = interp.stdout_data();
-    rec.info.instructions = interp.steps_executed();
+    rec.info.stdout_data = (*py)->interp.stdout_data();
+    rec.info.instructions = (*py)->interp.steps_executed();
     if (on_running) on_running(Status::ok());
   });
-}
-
-// ---------- Crun ----------
-
-void Crun::launch_workload(ContainerRecord& rec, OnRunning on_running) {
-  if (rec.bundle.payload.kind == Payload::Kind::kPython) {
-    launch_python(rec, std::move(on_running));
-    return;
-  }
-  if (!rec.bundle.spec.wants_wasm_handler()) {
-    fail(rec,
-         invalid_argument("wasm payload without wasm handler annotation"),
-         on_running);
-    return;
-  }
-  if (!wasm_backend_) {
-    fail(rec, unimplemented("this crun build has no wasm backend"),
-         on_running);
-    return;
-  }
-  if (*wasm_backend_ == engines::EngineKind::kWamr) {
-    launch_wamr_embedded(rec, std::move(on_running));
-    return;
-  }
-  // Pre-existing integrations: crun execs the engine CLI. crun-wasmtime
-  // additionally shares a node-wide compilation cache.
-  static const engines::Engine wasmtime =
-      engines::make_crun_engine(engines::EngineKind::kWasmtime);
-  static const engines::Engine wasmer =
-      engines::make_crun_engine(engines::EngineKind::kWasmer);
-  static const engines::Engine wasmedge =
-      engines::make_crun_engine(engines::EngineKind::kWasmEdge);
-  const engines::Engine& engine = *wasm_backend_ == engines::EngineKind::kWasmtime
-                                      ? wasmtime
-                                      : (*wasm_backend_ == engines::EngineKind::kWasmer
-                                             ? wasmer
-                                             : wasmedge);
-
-  // Shared-compile path: only a baseline-tier engine has anything to
-  // compile (a bench forcing the interpreter tier skips straight to the
-  // plain exec path), and only the crun integrations mount a shared
-  // artifact cache. The compile cost is measured from the real module —
-  // the singlepass compiler's op count × the engine's per-kop rate.
-  auto measured = engine.measure_compile(rec.bundle.payload.wasm);
-  if (engine.tier() == engines::Tier::kBaseline &&
-      engine.profile().shared_compile_cache && measured.is_ok()) {
-    const std::string id = rec.info.id;
-    // Compile (or cache-wait) + init + load all count as engine.load.
-    node_.obs().tracer.pod_phase(std::string(fault_target(rec)),
-                                 "engine.load", "engines");
-    const std::string key = "module:" + rec.bundle.spec.args[0] + ":" +
-                            std::to_string(rec.bundle.payload.size());
-    const auto continue_with = [this, id, &engine,
-                                on_running](double extra_cpu) {
-      node_.burst(
-          engine.profile().init_cpu_s + extra_cpu,
-          [this, id, &engine, on_running] {
-            auto it = containers_.find(id);
-            if (it == containers_.end()) return;
-            finish_wasm_launch(engine, it->second,
-                               engines::engine_name(engine.kind()),
-                               on_running);
-          });
-    };
-    switch (compile_cache_.lookup(
-        key, [continue_with, &engine] {
-          continue_with(engine.profile().cache_load_cpu_s);
-        })) {
-      case engines::CompileCache::Outcome::kHit:
-        continue_with(engine.profile().cache_load_cpu_s);
-        return;
-      case engines::CompileCache::Outcome::kMiss:
-        // This container compiles; publish when the burst completes.
-        node_.burst(engine.compile_cpu_s(*measured),
-                    [this, key, continue_with] {
-                      compile_cache_.publish(key);
-                      continue_with(0.0);
-                    });
-        return;
-      case engines::CompileCache::Outcome::kWait:
-        return;  // queued callback fires at publish()
-    }
-  }
-  launch_wasm_exec(engine, rec, std::move(on_running));
-}
-
-void Crun::launch_wamr_embedded(ContainerRecord& rec, OnRunning on_running) {
-  // §III-C: WAMR runs inside the crun process itself — no engine exec.
-  static const engines::Engine wamr =
-      engines::make_crun_engine(engines::EngineKind::kWamr);
-  // Default tier is the classic interpreter (no compile at all). Under a
-  // forced baseline tier (fast-interp ablation) each pod pays its own
-  // measured compile — WAMR ships no cross-pod artifact cache.
-  launch_wasm_compiled(wamr, rec, 0.0, "crun-wamr", std::move(on_running));
-}
-
-// ---------- Runc ----------
-
-void Runc::launch_workload(ContainerRecord& rec, OnRunning on_running) {
-  if (rec.bundle.payload.kind != Payload::Kind::kPython) {
-    fail(rec, unimplemented("runC has no wasm handler"), on_running);
-    return;
-  }
-  launch_python(rec, std::move(on_running));
-}
-
-// ---------- Youki ----------
-
-void Youki::launch_workload(ContainerRecord& rec, OnRunning on_running) {
-  if (rec.bundle.payload.kind == Payload::Kind::kPython) {
-    launch_python(rec, std::move(on_running));
-    return;
-  }
-  if (!rec.bundle.spec.wants_wasm_handler()) {
-    fail(rec,
-         invalid_argument("wasm payload without wasm handler annotation"),
-         on_running);
-    return;
-  }
-  static const engines::Engine wasmedge =
-      engines::make_crun_engine(engines::EngineKind::kWasmEdge);
-  launch_wasm_exec(wasmedge, rec, std::move(on_running));
-}
-
-// ---------- RunwasiShim ----------
-
-void RunwasiShim::launch_workload(ContainerRecord& rec,
-                                  OnRunning on_running) {
-  // One shim engine installation per kind per process — runwasi shims
-  // link the engine statically, and every pod's shim maps the same binary.
-  static const engines::Engine wasmtime =
-      engines::make_shim_engine(engines::EngineKind::kWasmtime);
-  static const engines::Engine wasmer =
-      engines::make_shim_engine(engines::EngineKind::kWasmer);
-  static const engines::Engine wasmedge =
-      engines::make_shim_engine(engines::EngineKind::kWasmEdge);
-  const engines::Engine& engine =
-      engine_ == engines::EngineKind::kWasmtime
-          ? wasmtime
-          : (engine_ == engines::EngineKind::kWasmer ? wasmer : wasmedge);
-  // Runwasi shims have no cross-pod artifact cache: each pod's shim
-  // compiles the module privately, priced by the measured op count.
-  launch_wasm_compiled(engine, rec, exec_cpu_s(), engine.library_name(),
-                       std::move(on_running));
 }
 
 }  // namespace wasmctr::oci

@@ -21,7 +21,6 @@
 #include "engines/engine.hpp"
 #include "engines/serve_slot.hpp"
 #include "oci/bundle.hpp"
-#include "pylite/interp.hpp"
 #include "sim/node.hpp"
 
 namespace wasmctr::oci {
@@ -106,12 +105,18 @@ class LowLevelRuntime {
 };
 
 /// Shared implementation of every runtime: one container state machine
-/// (create → running → stopped, OOM kill to 137, serving slot). Subclasses
-/// differ in the exec cost, the set of workload handlers, kernel-side
-/// residuals, and whether the shim process is itself the workload.
+/// (create → running → stopped, OOM kill to 137, serving slot) and one
+/// launch path. Subclasses differ only in their calibrated constants (exec
+/// cost, kernel-side residuals, whether the shim process is itself the
+/// workload), their Wasm engine and the process name it runs under.
 class OciRuntimeBase : public LowLevelRuntime {
  public:
-  explicit OciRuntimeBase(sim::Node& node) : node_(node) {}
+  /// `engine` is the runtime's Wasm engine, a process-lifetime installation
+  /// from engines::installed() (nullptr: no Wasm handler); a Wasm workload
+  /// runs as process `process`.
+  OciRuntimeBase(sim::Node& node, const engines::Engine* engine,
+                 std::string process)
+      : node_(node), engine_(engine), process_(std::move(process)) {}
 
   Status create(const std::string& id, const std::string& bundle_path,
                 const std::string& cgroup_path) override;
@@ -129,17 +134,6 @@ class OciRuntimeBase : public LowLevelRuntime {
   }
 
  protected:
-  struct ContainerRecord {
-    ContainerInfo info;
-    Bundle bundle;
-    Bytes kernel_charged{0};     // node-level kernel objects (netns, ...)
-    /// Live serving instance (built lazily by the first invoke()).
-    std::unique_ptr<engines::ServeSlot> serve;
-    /// Engine the workload launched under — all Engine objects here are
-    /// function-local statics, so the pointer stays valid for the run.
-    const engines::Engine* serve_engine = nullptr;
-  };
-
   /// Runtime-specific: CPU seconds for the create+start exec path.
   [[nodiscard]] virtual double exec_cpu_s() const = 0;
   /// Runtime-specific kernel-object overhead beyond the common baseline.
@@ -147,23 +141,37 @@ class OciRuntimeBase : public LowLevelRuntime {
   /// Runtime-specific residual private memory in the workload process.
   [[nodiscard]] virtual Bytes process_residual() const { return Bytes(0); }
   /// True when the shim process is itself the workload (runwasi): start()
-  /// skips the exec burst, and the pod cgroup, the kernel objects and the
-  /// shim-crash check all arrive with the process at launch, not at create.
+  /// skips the exec burst and the engine.load burst pays it instead; the
+  /// pod cgroup, the kernel objects and the shim-crash check all arrive
+  /// with the process at launch, not at create; and there is no Python
+  /// handler, as the shim's process is its Wasm engine.
   [[nodiscard]] virtual bool shim_is_workload() const { return false; }
+  /// False only for youki, which maps its compiled artifact but pays no
+  /// compile for it.
+  [[nodiscard]] virtual bool prices_compile() const { return true; }
 
-  /// Launch dispatch once the exec burst finishes.
-  virtual void launch_workload(ContainerRecord& rec, OnRunning on_running) = 0;
+ private:
+  struct ContainerRecord {
+    ContainerInfo info;
+    Bundle bundle;
+    Bytes kernel_charged{0};     // node-level kernel objects (netns, ...)
+    /// Live serving instance (built lazily by the first invoke()).
+    std::unique_ptr<engines::ServeSlot> serve;
+  };
 
-  /// Helpers shared by subclasses.
+  /// Launch dispatch once the exec burst finishes: a Python payload to
+  /// launch_python, a Wasm payload through the handler annotation and
+  /// engine checks to launch_wasm.
+  void launch_workload(ContainerRecord& rec, OnRunning on_running);
   void launch_python(ContainerRecord& rec, OnRunning on_running);
-  void launch_wasm_exec(const engines::Engine& engine, ContainerRecord& rec,
-                        OnRunning on_running);
-  /// One burst of `extra_cpu_s` plus the engine's init + load and, on a
-  /// baseline tier, the module's measured private compile (no cross-pod
-  /// artifact cache), then finish_wasm_launch.
-  void launch_wasm_compiled(const engines::Engine& engine,
-                            ContainerRecord& rec, double extra_cpu_s,
-                            std::string process, OnRunning on_running);
+  /// One engine.load burst, then finish_wasm_launch. A baseline-tier engine
+  /// with a shared compile cache compiles once per runtime (later starters
+  /// pay the artifact load, concurrent ones wait for the compile); any
+  /// other baseline-tier engine pays its measured compile in the burst.
+  void launch_wasm(ContainerRecord& rec, OnRunning on_running);
+  /// Run the module for real, spawn the workload process named
+  /// `process_:<id>`, charge memory, flip state.
+  void finish_wasm_launch(ContainerRecord& rec, const OnRunning& on_running);
 
   /// Fault-injection target: the pod name containerd annotated the bundle
   /// with, falling back to the container id for bare-runtime embeddings.
@@ -176,26 +184,25 @@ class OciRuntimeBase : public LowLevelRuntime {
   /// Charge the kernel objects the runtime allocates for the container.
   Status charge_kernel(ContainerRecord& rec);
 
-  /// Finalize: run the module for real, spawn the workload process named
-  /// `process:<id>`, charge memory, flip state.
-  void finish_wasm_launch(const engines::Engine& engine, ContainerRecord& rec,
-                          const std::string& process, OnRunning on_running);
-
   void fail(ContainerRecord& rec, Status status, const OnRunning& on_running);
 
   sim::Node& node_;
+  const engines::Engine* engine_;
+  std::string process_;
+  /// Node-wide shared compilation cache (wasmtime's on-disk code cache).
+  engines::CompileCache compile_cache_;
   std::map<std::string, ContainerRecord> containers_;
 };
 
 /// crun — lightweight C runtime; supports Python workloads and one
 /// compiled-in Wasm backend. `EngineKind::kWamr` selects the paper's
-/// embedded integration; other kinds exec the engine binary as the
-/// container process (the pre-existing integrations the paper compares
-/// against in Fig 3/4).
+/// integration: WAMR embedded in the crun process itself (§III-C), no
+/// engine exec. Other kinds exec the engine binary as the container
+/// process (the pre-existing integrations the paper compares against in
+/// Fig 3/4).
 class Crun final : public OciRuntimeBase {
  public:
-  Crun(sim::Node& node, std::optional<engines::EngineKind> wasm_backend)
-      : OciRuntimeBase(node), wasm_backend_(wasm_backend) {}
+  Crun(sim::Node& node, std::optional<engines::EngineKind> wasm_backend);
 
   [[nodiscard]] std::string name() const override {
     if (!wasm_backend_) return "crun";
@@ -206,21 +213,16 @@ class Crun final : public OciRuntimeBase {
   [[nodiscard]] double exec_cpu_s() const override {
     return engines::kInfra.crun_exec_cpu_s;
   }
-  void launch_workload(ContainerRecord& rec, OnRunning on_running) override;
 
  private:
-  /// The WAMR embedding: dlopen-once, run in-process (§III-C items 1–3).
-  void launch_wamr_embedded(ContainerRecord& rec, OnRunning on_running);
-
   std::optional<engines::EngineKind> wasm_backend_;
-  engines::CompileCache compile_cache_;  // crun-wasmtime shared cache
 };
 
 /// runC — Kubernetes' default; no Wasm handler (paper §IV-D uses it for
 /// the Python baseline only).
 class Runc final : public OciRuntimeBase {
  public:
-  explicit Runc(sim::Node& node) : OciRuntimeBase(node) {}
+  explicit Runc(sim::Node& node) : OciRuntimeBase(node, nullptr, "") {}
   [[nodiscard]] std::string name() const override { return "runc"; }
 
  protected:
@@ -233,19 +235,22 @@ class Runc final : public OciRuntimeBase {
   [[nodiscard]] Bytes process_residual() const override {
     return engines::kInfra.runc_process_residual;
   }
-  void launch_workload(ContainerRecord& rec, OnRunning on_running) override;
 };
 
 /// youki — Rust runtime with WasmEdge support (Fig 1's third low-level
 /// runtime); implemented for completeness and the ablation benches.
 class Youki final : public OciRuntimeBase {
  public:
-  explicit Youki(sim::Node& node) : OciRuntimeBase(node) {}
+  explicit Youki(sim::Node& node)
+      : OciRuntimeBase(node,
+                       engines::installed(engines::Integration::kCrun,
+                                          engines::EngineKind::kWasmEdge),
+                       "wasmedge") {}
   [[nodiscard]] std::string name() const override { return "youki"; }
 
  protected:
   [[nodiscard]] double exec_cpu_s() const override { return 1.05; }
-  void launch_workload(ContainerRecord& rec, OnRunning on_running) override;
+  [[nodiscard]] bool prices_compile() const override { return false; }
 };
 
 /// containerd-shim-<engine> (runwasi): the engine runs inside the shim,
@@ -253,11 +258,17 @@ class Youki final : public OciRuntimeBase {
 /// whole footprint is visible to the metrics server (why Fig 6's
 /// metrics-server gap to shims exceeds the free-command gap in Fig 5).
 /// There is no OCI runtime exec: shim boot and the runwasi create fuse
-/// with the engine's init/load/compile into one engine.load burst.
+/// with the engine's init/load/compile into one engine.load burst. No
+/// shim ships WAMR: a kWamr shim has no engine and refuses Wasm.
 class RunwasiShim final : public OciRuntimeBase {
  public:
   RunwasiShim(sim::Node& node, engines::EngineKind engine)
-      : OciRuntimeBase(node), engine_(engine) {}
+      : OciRuntimeBase(node,
+                       engines::installed(engines::Integration::kRunwasi,
+                                          engine),
+                       std::string("containerd-shim-") +
+                           engines::engine_name(engine)),
+        engine_(engine) {}
 
   [[nodiscard]] std::string name() const override {
     return std::string("containerd-shim-") + engines::engine_name(engine_);
@@ -274,7 +285,6 @@ class RunwasiShim final : public OciRuntimeBase {
     return engines::kInfra.runwasi_node_extra;
   }
   [[nodiscard]] bool shim_is_workload() const override { return true; }
-  void launch_workload(ContainerRecord& rec, OnRunning on_running) override;
 
  private:
   engines::EngineKind engine_;

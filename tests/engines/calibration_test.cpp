@@ -13,15 +13,23 @@
 namespace wasmctr::engines {
 namespace {
 
+const EngineProfile& crun_profile(EngineKind k) {
+  return installed(Integration::kCrun, k)->profile();
+}
+
+const EngineProfile& shim_profile(EngineKind k) {
+  return installed(Integration::kRunwasi, k)->profile();
+}
+
 TEST(CalibrationTest, InterpreterHasNoCompileJitsDo) {
-  const EngineProfile& wamr = crun_engine_profile(EngineKind::kWamr);
+  const EngineProfile& wamr = crun_profile(EngineKind::kWamr);
   EXPECT_EQ(wamr.tier, Tier::kInterpreter)
       << "WAMR interprets; a compile stage would break the Fig 8 shape";
   EXPECT_FALSE(wamr.shared_compile_cache)
       << "nothing to cache when no artifact is produced by default";
   for (EngineKind k : {EngineKind::kWasmtime, EngineKind::kWasmer,
                        EngineKind::kWasmEdge}) {
-    const EngineProfile& p = crun_engine_profile(k);
+    const EngineProfile& p = crun_profile(k);
     EXPECT_EQ(p.tier, Tier::kBaseline) << engine_name(k);
     EXPECT_TRUE(p.shared_compile_cache) << engine_name(k);
     EXPECT_GT(p.compile_cpu_s_per_kop, 0.0) << engine_name(k);
@@ -41,7 +49,7 @@ TEST(CalibrationTest, MeasuredCompileReproducesCalibratedTotals) {
                {EngineKind::kWasmer, 1.80},
                {EngineKind::kWasmEdge, 1.50}};
   for (const auto& fit : kFits) {
-    const Engine engine = make_crun_engine(fit.kind);
+    const Engine& engine = *installed(Integration::kCrun, fit.kind);
     auto m = engine.measure_compile(wasm);
     ASSERT_TRUE(m.is_ok()) << engine_name(fit.kind);
     const double compile_s = engine.compile_cpu_s(*m);
@@ -56,10 +64,10 @@ TEST(CalibrationTest, WamrSteadyStateSlowerThanCachedJits) {
   // The Fig 9 mechanism: once the cache is warm, every JIT engine's
   // per-container cost (init + cache load) undercuts WAMR's full
   // interpreter init. Otherwise the 400-pod ranking cannot flip.
-  const EngineProfile& wamr = crun_engine_profile(EngineKind::kWamr);
+  const EngineProfile& wamr = crun_profile(EngineKind::kWamr);
   for (EngineKind k : {EngineKind::kWasmtime, EngineKind::kWasmer,
                        EngineKind::kWasmEdge}) {
-    const EngineProfile& p = crun_engine_profile(k);
+    const EngineProfile& p = crun_profile(k);
     EXPECT_LT(p.init_cpu_s + p.cache_load_cpu_s, wamr.init_cpu_s)
         << engine_name(k);
   }
@@ -67,9 +75,9 @@ TEST(CalibrationTest, WamrSteadyStateSlowerThanCachedJits) {
 
 TEST(CalibrationTest, WasmtimeIsTheFastestCachedEngine) {
   // Paper Fig 9: crun-Wasmtime specifically is "the most performant".
-  const EngineProfile& wt = crun_engine_profile(EngineKind::kWasmtime);
+  const EngineProfile& wt = crun_profile(EngineKind::kWasmtime);
   for (EngineKind k : {EngineKind::kWasmer, EngineKind::kWasmEdge}) {
-    const EngineProfile& p = crun_engine_profile(k);
+    const EngineProfile& p = crun_profile(k);
     EXPECT_LT(wt.init_cpu_s + wt.cache_load_cpu_s,
               p.init_cpu_s + p.cache_load_cpu_s)
         << engine_name(k);
@@ -79,13 +87,13 @@ TEST(CalibrationTest, WasmtimeIsTheFastestCachedEngine) {
 TEST(CalibrationTest, ShimWasmerIsTheMemoryWorstCase) {
   // Paper Fig 5/10: containerd-shim-wasmer is the most memory-hungry
   // configuration (ours is 77.53 % below it).
-  const Bytes wasmer = shim_engine_profile(EngineKind::kWasmer).private_fixed;
+  const Bytes wasmer = shim_profile(EngineKind::kWasmer).private_fixed;
   for (EngineKind k : {EngineKind::kWasmtime, EngineKind::kWasmEdge}) {
-    EXPECT_GT(wasmer, shim_engine_profile(k).private_fixed) << engine_name(k);
+    EXPECT_GT(wasmer, shim_profile(k).private_fixed) << engine_name(k);
   }
   for (EngineKind k : {EngineKind::kWamr, EngineKind::kWasmtime,
                        EngineKind::kWasmer, EngineKind::kWasmEdge}) {
-    EXPECT_GT(wasmer, crun_engine_profile(k).private_fixed) << engine_name(k);
+    EXPECT_GT(wasmer, crun_profile(k).private_fixed) << engine_name(k);
   }
 }
 
@@ -93,8 +101,8 @@ TEST(CalibrationTest, ShimWasmtimeLeanerThanItsCrunEmbedding) {
   // Fig 5 vs Fig 4: the wasmtime shim undercuts crun-wasmtime (it skips
   // the OCI runtime and shares the compiled-in runtime text), which is
   // what makes it the second-best config overall.
-  EXPECT_LT(shim_engine_profile(EngineKind::kWasmtime).private_fixed,
-            crun_engine_profile(EngineKind::kWasmtime).private_fixed);
+  EXPECT_LT(shim_profile(EngineKind::kWasmtime).private_fixed,
+            crun_profile(EngineKind::kWasmtime).private_fixed);
 }
 
 TEST(CalibrationTest, RunwasiSerializationOrdersTheFig9Shims) {
@@ -121,10 +129,10 @@ TEST(CalibrationTest, PythonHeavierThanWamrLighterThanJits) {
   // Fig 6/7's ordering: WAMR < Python < every other Wasm engine.
   const PythonProfile& py = kPythonProfile;
   EXPECT_GT(py.private_fixed,
-            crun_engine_profile(EngineKind::kWamr).private_fixed);
+            crun_profile(EngineKind::kWamr).private_fixed);
   for (EngineKind k : {EngineKind::kWasmtime, EngineKind::kWasmer,
                        EngineKind::kWasmEdge}) {
-    EXPECT_LT(py.private_fixed, crun_engine_profile(k).private_fixed)
+    EXPECT_LT(py.private_fixed, crun_profile(k).private_fixed)
         << engine_name(k);
   }
 }

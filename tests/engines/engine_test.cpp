@@ -9,22 +9,33 @@
 namespace wasmctr::engines {
 namespace {
 
+const EngineProfile& crun_profile(EngineKind k) {
+  return installed(Integration::kCrun, k)->profile();
+}
+
 TEST(EngineProfileTest, ProfilesResolve) {
   for (EngineKind k : {EngineKind::kWamr, EngineKind::kWasmtime,
                        EngineKind::kWasmer, EngineKind::kWasmEdge}) {
-    EXPECT_EQ(crun_engine_profile(k).kind, k);
+    ASSERT_NE(installed(Integration::kCrun, k), nullptr) << engine_name(k);
+    EXPECT_EQ(installed(Integration::kCrun, k)->kind(), k);
   }
   for (EngineKind k :
        {EngineKind::kWasmtime, EngineKind::kWasmer, EngineKind::kWasmEdge}) {
-    EXPECT_EQ(shim_engine_profile(k).kind, k);
+    ASSERT_NE(installed(Integration::kRunwasi, k), nullptr) << engine_name(k);
+    EXPECT_EQ(installed(Integration::kRunwasi, k)->kind(), k);
   }
+  EXPECT_EQ(installed(Integration::kRunwasi, EngineKind::kWamr), nullptr)
+      << "no runwasi shim ships WAMR";
+  EXPECT_EQ(installed(Integration::kCrun, EngineKind::kWasmtime),
+            installed(Integration::kCrun, EngineKind::kWasmtime))
+      << "one installation per process";
 }
 
 TEST(EngineProfileTest, WamrIsTheLightestCrunEngine) {
-  const EngineProfile& wamr = crun_engine_profile(EngineKind::kWamr);
+  const EngineProfile& wamr = crun_profile(EngineKind::kWamr);
   for (EngineKind k : {EngineKind::kWasmtime, EngineKind::kWasmer,
                        EngineKind::kWasmEdge}) {
-    const EngineProfile& other = crun_engine_profile(k);
+    const EngineProfile& other = crun_profile(k);
     EXPECT_LT(wamr.private_fixed, other.private_fixed)
         << engine_name(k);
     EXPECT_LT(wamr.shared_lib, other.shared_lib) << engine_name(k);
@@ -34,13 +45,15 @@ TEST(EngineProfileTest, WamrIsTheLightestCrunEngine) {
 }
 
 TEST(EngineTest, LibraryNames) {
-  EXPECT_EQ(make_crun_engine(EngineKind::kWamr).library_name(), "libwamr.so");
-  EXPECT_EQ(make_shim_engine(EngineKind::kWasmtime).library_name(),
+  EXPECT_EQ(installed(Integration::kCrun, EngineKind::kWamr)->library_name(),
+            "libwamr.so");
+  EXPECT_EQ(
+      installed(Integration::kRunwasi, EngineKind::kWasmtime)->library_name(),
             "containerd-shim-wasmtime");
 }
 
 TEST(EngineTest, RunsMicroserviceEndToEnd) {
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
   wasi::VirtualFs fs;
   wasi::WasiOptions opts;
   opts.args = {"app.wasm"};
@@ -59,8 +72,8 @@ TEST(EngineTest, ModeledInstanceAppliesMultiplier) {
   wasi::WasiOptions opts;
   opts.args = {"app.wasm"};
   const auto bytes = wasm::build_minimal_microservice();
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
-  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
+  const Engine& wasmtime = *installed(Integration::kCrun, EngineKind::kWasmtime);
   auto interp = wamr.run_module(bytes, opts, fs);
   auto jit = wasmtime.run_module(bytes, opts, fs);
   ASSERT_TRUE(interp.is_ok());
@@ -98,8 +111,8 @@ TEST(EngineTest, MeasuredInstanceFootprintIsPinned) {
       {"minimal", wasm::build_minimal_microservice(), 133255, 133099},
       {"request", wasm::build_request_microservice(), 133391, 133131},
   };
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
-  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
+  const Engine& wasmtime = *installed(Integration::kCrun, EngineKind::kWasmtime);
   for (const Case& c : cases) {
     wasi::VirtualFs fs;
     wasi::WasiOptions opts;
@@ -117,8 +130,8 @@ TEST(EngineTest, MeasuredInstanceFootprintIsPinned) {
 }
 
 TEST(EngineTest, TierOverrideFlipsBothDirections) {
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
-  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
+  const Engine& wasmtime = *installed(Integration::kCrun, EngineKind::kWasmtime);
   EXPECT_EQ(wamr.tier(), Tier::kInterpreter);
   EXPECT_EQ(wasmtime.tier(), Tier::kBaseline);
   {
@@ -138,7 +151,7 @@ TEST(EngineTest, TierOverrideFlipsBothDirections) {
 }
 
 TEST(EngineTest, MeasureCompileIsMemoizedAndMeasured) {
-  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
+  const Engine& wasmtime = *installed(Integration::kCrun, EngineKind::kWasmtime);
   const auto bytes = wasm::build_minimal_microservice();
   auto a = wasmtime.measure_compile(bytes);
   auto b = wasmtime.measure_compile(bytes);
@@ -155,7 +168,7 @@ TEST(EngineTest, MeasureCompileIsMemoizedAndMeasured) {
 }
 
 TEST(EngineTest, RejectsMalformedModule) {
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
   wasi::VirtualFs fs;
   const std::vector<uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef};
   auto report = wamr.run_module(garbage, {}, fs);
@@ -170,7 +183,7 @@ TEST(EngineTest, NonZeroExitCodeSurfaces) {
   b.add_memory(1, 1);
   wasm::FnBuilder& f = b.add_function("_start", {}, {});
   f.i32_const(7).call(proc_exit).end();
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
   wasi::VirtualFs fs;
   auto report = wamr.run_module(b.build(), {}, fs);
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
@@ -182,66 +195,46 @@ TEST(EngineTest, GenuineTrapIsAnError) {
   b.add_memory(1, 1);
   wasm::FnBuilder& f = b.add_function("_start", {}, {});
   f.unreachable().end();
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
   wasi::VirtualFs fs;
   auto report = wamr.run_module(b.build(), {}, fs);
   ASSERT_FALSE(report.is_ok());
   EXPECT_EQ(report.status().code(), ErrorCode::kTrap);
 }
 
-TEST(StartupCostTest, CacheSplitsCompileFromLoad) {
-  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
-  const auto bytes = wasm::build_minimal_microservice();
-  auto meas = wasmtime.measure_compile(bytes);
-  ASSERT_TRUE(meas.is_ok());
-  const StartupCost cold = wasmtime.startup_cost(bytes.size(), false, &*meas);
-  const StartupCost warm = wasmtime.startup_cost(bytes.size(), true, &*meas);
-  EXPECT_GT(cold.shared_compile_cpu_s, 1.0);
-  EXPECT_EQ(cold.cache_load_cpu_s, 0.0);
-  EXPECT_EQ(cold.compile_cpu_s, 0.0) << "shared-cache engines compile once";
-  EXPECT_EQ(warm.shared_compile_cpu_s, 0.0);
-  EXPECT_GT(warm.cache_load_cpu_s, 0.0);
-  EXPECT_LT(warm.cache_load_cpu_s, cold.shared_compile_cpu_s);
-}
-
 TEST(StartupCostTest, InterpreterTierChargesNoCompile) {
-  const Engine wasmtime = make_crun_engine(EngineKind::kWasmtime);
+  const Engine& wasmtime = *installed(Integration::kCrun, EngineKind::kWasmtime);
   const auto bytes = wasm::build_minimal_microservice();
   auto meas = wasmtime.measure_compile(bytes);
   ASSERT_TRUE(meas.is_ok());
   ScopedTierOverride interp(Tier::kInterpreter);
-  const StartupCost cost = wasmtime.startup_cost(bytes.size(), false, &*meas);
-  EXPECT_EQ(cost.shared_compile_cpu_s, 0.0);
+  const StartupCost cost = wasmtime.startup_cost(bytes.size(), &*meas);
   EXPECT_EQ(cost.compile_cpu_s, 0.0);
-  EXPECT_EQ(cost.cache_load_cpu_s, 0.0);
   EXPECT_GT(cost.init_cpu_s, 0.0);
 }
 
 TEST(StartupCostTest, ShimPaysPerPodCompile) {
-  // No shared artifact cache: the compile lands in the per-container
-  // field regardless of what the "node cache" claims.
-  const Engine shim = make_shim_engine(EngineKind::kWasmtime);
+  // No shared artifact cache: every pod's start prices the compile.
+  const Engine& shim = *installed(Integration::kRunwasi, EngineKind::kWasmtime);
   const auto bytes = wasm::build_minimal_microservice();
   auto meas = shim.measure_compile(bytes);
   ASSERT_TRUE(meas.is_ok());
-  const StartupCost cost = shim.startup_cost(bytes.size(), true, &*meas);
+  const StartupCost cost = shim.startup_cost(bytes.size(), &*meas);
+  EXPECT_FALSE(shim.profile().shared_compile_cache);
   EXPECT_GT(cost.compile_cpu_s, 0.0);
-  EXPECT_EQ(cost.shared_compile_cpu_s, 0.0);
-  EXPECT_EQ(cost.cache_load_cpu_s, 0.0);
 }
 
 TEST(StartupCostTest, WamrHasNoCompileStage) {
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
-  const StartupCost cost = wamr.startup_cost(3000, false);
-  EXPECT_EQ(cost.shared_compile_cpu_s, 0.0);
-  EXPECT_EQ(cost.cache_load_cpu_s, 0.0);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
+  const StartupCost cost = wamr.startup_cost(3000);
+  EXPECT_EQ(cost.compile_cpu_s, 0.0);
   EXPECT_GT(cost.init_cpu_s, 0.0);
 }
 
 TEST(StartupCostTest, LoadScalesWithModuleSize) {
-  const Engine wamr = make_crun_engine(EngineKind::kWamr);
-  EXPECT_GT(wamr.startup_cost(1 << 20, false).load_cpu_s,
-            wamr.startup_cost(1 << 10, false).load_cpu_s);
+  const Engine& wamr = *installed(Integration::kCrun, EngineKind::kWamr);
+  EXPECT_GT(wamr.startup_cost(1 << 20).load_cpu_s,
+            wamr.startup_cost(1 << 10).load_cpu_s);
 }
 
 TEST(CompileCacheTest, MissThenHit) {

@@ -81,9 +81,9 @@ TEST_F(CacheTest, ConcurrentStartersShareOneCompile) {
       << "waiters resume together once the compile publishes";
   // Total CPU consumed stays near one compile + N cheap starts.
   const double cpu = node_.cpu().consumed_cpu_seconds();
-  const auto& p = engines::crun_engine_profile(engines::EngineKind::kWasmtime);
-  const engines::Engine engine =
-      engines::make_crun_engine(engines::EngineKind::kWasmtime);
+  const engines::Engine& engine = *engines::installed(
+      engines::Integration::kCrun, engines::EngineKind::kWasmtime);
+  const engines::EngineProfile& p = engine.profile();
   auto measured = engine.measure_compile(wasm::build_minimal_microservice());
   ASSERT_TRUE(measured.is_ok());
   const double upper_bound =
