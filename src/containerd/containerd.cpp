@@ -32,7 +32,11 @@ oci::LowLevelRuntime* Containerd::runtime_for(const HandlerConfig& config) {
 
   std::unique_ptr<oci::LowLevelRuntime> runtime;
   if (shim) {
-    if (!config.engine) return nullptr;
+    // Only engines some runwasi shim ships (no WAMR) have a handler.
+    if (!config.engine || engines::installed(engines::Integration::kRunwasi,
+                                             *config.engine) == nullptr) {
+      return nullptr;
+    }
     runtime = std::make_unique<oci::RunwasiShim>(node_, *config.engine);
   } else if (config.oci_runtime == "crun") {
     runtime = std::make_unique<oci::Crun>(node_, config.engine);

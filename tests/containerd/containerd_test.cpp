@@ -168,6 +168,26 @@ TEST_F(ContainerdTest, UnknownHandlerRejected) {
             ErrorCode::kNotFound);
 }
 
+TEST_F(ContainerdTest, RunwasiHandlerForUnshippedEngineRejected) {
+  // No runwasi shim ships WAMR: the handler must be refused up front, not
+  // quietly run another engine's shim under a containerd-shim-wamr name.
+  ctrd_.register_handler(
+      "wamr-shim", {HandlerPath::kRunwasi, "", engines::EngineKind::kWamr});
+  auto sb = make_sandbox("pod-w");
+  ASSERT_TRUE(sb.is_ok());
+  ContainerRequest req;
+  req.name = "c";
+  req.image = "svc:wasm";
+  bool called = false;
+  EXPECT_EQ(ctrd_.create_and_start(*sb, req, "wamr-shim",
+                                   [&](Status) { called = true; })
+                .status()
+                .code(),
+            ErrorCode::kNotFound);
+  node_.kernel().run();
+  EXPECT_FALSE(called) << "a refused handler starts nothing";
+}
+
 TEST_F(ContainerdTest, UnknownImageRejected) {
   auto sb = make_sandbox("pod-d");
   ASSERT_TRUE(sb.is_ok());
