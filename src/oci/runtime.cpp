@@ -295,8 +295,7 @@ void OciRuntimeBase::launch_wasm(ContainerRecord& rec, OnRunning on_running) {
   // Shared compile cache: the first starter compiles, concurrent ones wait
   // for it, later ones load the artifact. Neither pays the decode/validate
   // load — the cached artifact replaces it.
-  const std::string key = "module:" + rec.bundle.spec.args[0] + ":" +
-                          std::to_string(rec.bundle.payload.size());
+  const std::string key = std::to_string(measured->content_hash);
   const double cache_load_cpu_s = engine.profile().cache_load_cpu_s;
   const auto continue_with = [this, extra_cpu_s, init = cost.init_cpu_s,
                               finish](double after_compile_cpu_s) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "oci/runtime.hpp"
+#include "wasm/builder.hpp"
 #include "wasm/workloads.hpp"
 
 namespace wasmctr::oci {
@@ -12,21 +13,24 @@ namespace {
 
 class CacheTest : public ::testing::Test {
  protected:
-  void write_bundle(const std::string& path) {
+  void write_bundle(const std::string& path,
+                    std::vector<uint8_t> module = {}) {
     RuntimeSpec spec;
     spec.args = {"app.wasm"};
     spec.annotations["run.oci.handler"] = "wasm";
     Payload payload;
     payload.kind = Payload::Kind::kWasm;
-    payload.wasm = wasm::build_minimal_microservice();
+    payload.wasm =
+        module.empty() ? wasm::build_minimal_microservice() : std::move(module);
     ASSERT_TRUE(
         oci::write_bundle(node_.fs(), path, spec, payload).is_ok());
   }
 
   /// Create+start one container; returns the virtual time its workload
   /// began executing.
-  SimTime start_one(Crun& crun, const std::string& id) {
-    write_bundle("b/" + id);
+  SimTime start_one(Crun& crun, const std::string& id,
+                    std::vector<uint8_t> module = {}) {
+    write_bundle("b/" + id, std::move(module));
     EXPECT_TRUE(crun.create(id, "b/" + id, "pod/" + id).is_ok());
     SimTime running_at{-1};
     EXPECT_TRUE(crun.start(id, [&, this](Status st) {
@@ -91,6 +95,33 @@ TEST_F(CacheTest, ConcurrentStartersShareOneCompile) {
                      p.cache_load_cpu_s + 0.1) +
       engine.compile_cpu_s(*measured) + 1.0;
   EXPECT_LT(cpu, upper_bound) << "no duplicated compiles";
+}
+
+// A module whose _start pushes and drops `value`: modules built with
+// one-byte-LEB values differ in content but not in size.
+std::vector<uint8_t> build_const_module(int32_t value) {
+  wasm::ModuleBuilder b;
+  b.add_memory(1, 1);
+  wasm::FnBuilder& f = b.add_function("_start", {}, {});
+  f.i32_const(value).drop().end();
+  return b.build();
+}
+
+TEST_F(CacheTest, SameSizeModulesEachPayTheirCompile) {
+  const std::vector<uint8_t> five = build_const_module(5);
+  const std::vector<uint8_t> six = build_const_module(6);
+  ASSERT_EQ(five.size(), six.size());
+  ASSERT_NE(five, six);
+  Crun crun(node_, engines::EngineKind::kWasmtime);
+  SimTime origin = node_.kernel().now();
+  const double five_s = to_seconds(start_one(crun, "m5", five) - origin);
+  origin = node_.kernel().now();
+  const double six_s = to_seconds(start_one(crun, "m6", six) - origin);
+  origin = node_.kernel().now();
+  const double again_s = to_seconds(start_one(crun, "m5b", five) - origin);
+  EXPECT_NEAR(six_s, five_s, 1e-6)
+      << "a module with other bytes compiles, whatever its size";
+  EXPECT_LT(again_s, five_s) << "the same bytes again hit the cache";
 }
 
 TEST_F(CacheTest, WamrTimingIsFlatAcrossContainers) {
