@@ -173,6 +173,7 @@ struct InfraCalibration {
   double shim_spawn_cpu_s = 0.40;    ///< fork/exec of the per-pod shim
   double crun_exec_cpu_s = 1.00;     ///< crun create+start (pivot_root, ...)
   double runc_exec_cpu_s = 1.12;     ///< runC is measurably slower than crun
+  double youki_exec_cpu_s = 1.05;    ///< youki create+start
   double runwasi_create_cpu_s = 0.74;///< runwasi skips the OCI runtime exec
   double python_boot_extra_cpu_s = 0.23;  ///< beyond PythonProfile.init
   /// Fixed (non-CPU) pipeline latency per pod: scheduler binding, kubelet

@@ -270,7 +270,7 @@ void OciRuntimeBase::launch_wasm(ContainerRecord& rec, OnRunning on_running) {
   // measured from the real module (the singlepass compiler's op count ×
   // the engine's per-kop rate).
   std::optional<engines::CompileMeasurement> measured;
-  if (engine.tier() == engines::Tier::kBaseline && prices_compile()) {
+  if (engine.tier() == engines::Tier::kBaseline) {
     if (auto m = engine.measure_compile(rec.bundle.payload.wasm); m.is_ok()) {
       measured = *m;
     }

@@ -146,9 +146,6 @@ class OciRuntimeBase : public LowLevelRuntime {
   /// with the process at launch, not at create; and there is no Python
   /// handler, as the shim's process is its Wasm engine.
   [[nodiscard]] virtual bool shim_is_workload() const { return false; }
-  /// False only for youki, which maps its compiled artifact but pays no
-  /// compile for it.
-  [[nodiscard]] virtual bool prices_compile() const { return true; }
 
  private:
   struct ContainerRecord {
@@ -249,8 +246,9 @@ class Youki final : public OciRuntimeBase {
   [[nodiscard]] std::string name() const override { return "youki"; }
 
  protected:
-  [[nodiscard]] double exec_cpu_s() const override { return 1.05; }
-  [[nodiscard]] bool prices_compile() const override { return false; }
+  [[nodiscard]] double exec_cpu_s() const override {
+    return engines::kInfra.youki_exec_cpu_s;
+  }
 };
 
 /// containerd-shim-<engine> (runwasi): the engine runs inside the shim,

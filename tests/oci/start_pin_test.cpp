@@ -48,6 +48,10 @@ std::unique_ptr<LowLevelRuntime> make_runtime(sim::Node& node,
   return nullptr;
 }
 
+void PrintTo(const PinCase& c, std::ostream* os) {
+  *os << c.runtime << "/" << engines::tier_name(c.tier);
+}
+
 class RuntimePinTest : public ::testing::TestWithParam<PinCase> {};
 
 TEST_P(RuntimePinTest, RunningTimeAndWorkingSet) {
@@ -143,9 +147,11 @@ const PinCase kCases[] = {
     {"youki", kI, kOne, {1170057617, 0}, {13630222, 0}},
     {"youki", kI, kAfter, {1170057617, 2340115234}, {13630222, 8510222}},
     {"youki", kI, kTogether, {1170057617, 1170057617}, {13630222, 8510222}},
-    {"youki", kB, kOne, {1170057617, 0}, {13638102, 0}},
-    {"youki", kB, kAfter, {1170057617, 2340115234}, {13638102, 8509910}},
-    {"youki", kB, kTogether, {1170057617, 1170057617}, {13638102, 8509910}},
+    // youki runs crun's WasmEdge and pays its shared compile like
+    // crun-wasmedge, 0.05 s of exec behind it.
+    {"youki", kB, kOne, {2668500000, 0}, {13638102, 0}},
+    {"youki", kB, kAfter, {2668500000, 3898500000}, {13638102, 8509910}},
+    {"youki", kB, kTogether, {2668500000, 2728500000}, {13638102, 8509910}},
 };
 // clang-format on
 
