@@ -81,32 +81,32 @@ Result<CompileMeasurement> Engine::measure_compile(
   return measure_of(*compiled);
 }
 
-Result<std::unique_ptr<WasiInstance>> Engine::instantiate(
-    std::span<const uint8_t> module_bytes, wasi::WasiOptions wasi_options,
-    wasi::VirtualFs& fs, uint64_t fuel) const {
+Status Engine::instantiate(std::span<const uint8_t> module_bytes,
+                           wasi::WasiOptions wasi_options, wasi::VirtualFs& fs,
+                           uint64_t fuel, WasiInstance& out) const {
   WASMCTR_ASSIGN_OR_RETURN(wasm::Module module,
                            wasm::decode_module(module_bytes));
   WASMCTR_RETURN_IF_ERROR(wasm::validate_module(module));
 
   // Baseline tier runs the node's compiled artifact (memoized above).
   std::shared_ptr<const wasm::baseline::CompiledModule> compiled;
-  CompileMeasurement compile;
   if (tier() == Tier::kBaseline) {
     WASMCTR_ASSIGN_OR_RETURN(compiled, compiled_module(module_bytes));
-    compile = measure_of(*compiled);
+    out.compile = measure_of(*compiled);
   }
 
-  auto live = std::make_unique<WasiInstance>(std::move(wasi_options), fs);
-  live->compile = compile;
-  wasm::ImportResolver resolver;
-  live->ctx.register_imports(resolver);
+  out.ctx.emplace(std::move(wasi_options), fs).register_imports(out.resolver);
 
   wasm::ExecLimits limits;
   limits.fuel = fuel;  // sandbox: no unbounded loops
-  WASMCTR_ASSIGN_OR_RETURN(
-      live->instance, wasm::Instance::instantiate(std::move(module), resolver,
-                                                  limits, std::move(compiled)));
-  return live;
+  auto instance = wasm::Instance::instantiate(std::move(module), out.resolver,
+                                              limits, std::move(compiled));
+  if (!instance) {
+    out.reset();
+    return instance.status();
+  }
+  out.instance = std::move(*instance);
+  return Status::ok();
 }
 
 Result<ExecutionReport> Engine::run_module(
@@ -114,24 +114,27 @@ Result<ExecutionReport> Engine::run_module(
     wasi::VirtualFs& fs, uint64_t fuel) const {
   ExecutionReport report;
   report.tier = tier();
-  WASMCTR_ASSIGN_OR_RETURN(
-      auto live, instantiate(module_bytes, std::move(wasi_options), fs, fuel));
-  report.compile = live->compile;
+  WasiInstance live;
+  WASMCTR_RETURN_IF_ERROR(
+      instantiate(module_bytes, std::move(wasi_options), fs, fuel, live));
+  report.compile = live.compile;
+  wasi::WasiContext& ctx = *live.ctx;
+  wasm::Instance& instance = *live.instance;
 
-  auto r = live->instance->invoke("_start");
+  auto r = instance.invoke("_start");
   if (!r) {
     if (r.status().code() == ErrorCode::kTrap &&
-        r.status().message() == "proc_exit" && live->ctx.exited()) {
-      report.exit_code = live->ctx.exit_code();
+        r.status().message() == "proc_exit" && ctx.exited()) {
+      report.exit_code = ctx.exit_code();
     } else {
       return r.status();  // genuine trap or missing export
     }
   }
-  report.stdout_data = live->ctx.stdout_data();
-  report.stderr_data = live->ctx.stderr_data();
-  report.instructions = live->instance->instructions_retired();
+  report.stdout_data = ctx.stdout_data();
+  report.stderr_data = ctx.stderr_data();
+  report.instructions = instance.instructions_retired();
   report.measured_instance =
-      Bytes(live->instance->resident_bytes() + live->ctx.resident_bytes());
+      Bytes(instance.resident_bytes() + ctx.resident_bytes());
   report.modeled_instance = Bytes(static_cast<uint64_t>(
       static_cast<double>(report.measured_instance.value) *
       profile_.instance_multiplier));
@@ -150,18 +153,19 @@ StartupCost Engine::startup_cost(std::size_t module_size,
   return cost;
 }
 
-Result<std::unique_ptr<PythonInstance>> run_python(
-    std::string_view script, std::vector<std::string> argv,
-    std::vector<std::pair<std::string, std::string>> env) {
+Status run_python(std::string_view script,
+                  const std::vector<std::string>& argv,
+                  const std::vector<std::pair<std::string, std::string>>& env,
+                  PythonInstance& out) {
   WASMCTR_ASSIGN_OR_RETURN(pylite::Program program,
                            pylite::parse_source(script));
+  pylite::Program& prog = out.program.emplace(std::move(program));
   pylite::InterpOptions opts;
-  opts.argv = std::move(argv);
-  opts.env = std::move(env);
-  auto py = std::make_unique<PythonInstance>(std::move(program),
-                                             std::move(opts));
-  WASMCTR_RETURN_IF_ERROR(py->interp.run(py->program));
-  return py;
+  opts.argv = argv;
+  opts.env = env;
+  Status st = out.interp.emplace(std::move(opts)).run(prog);
+  if (!st.is_ok()) out.reset();
+  return st;
 }
 
 }  // namespace wasmctr::engines

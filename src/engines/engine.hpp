@@ -71,32 +71,52 @@ struct StartupCost {
   double compile_cpu_s = 0;  ///< measured baseline-tier compile
 };
 
-/// A module instantiated under WASI, ready to invoke. `ctx` is declared
-/// before `instance` so the instance (whose host funcs point into the
-/// context) is destroyed first.
+/// A module instantiated under WASI, built in place by
+/// Engine::instantiate in storage the caller owns (a start's stack frame,
+/// a serving slot). It never moves: the instance's host funcs point into
+/// `ctx`, which is declared first so the instance is destroyed before it.
+/// `resolver` holds the imports the instance was linked against and lives
+/// as long as the instance, so a start frees it after `_start`, not in
+/// between: freeing it early reshuffles the host heap under the run and
+/// slowed perfbench's scale_startup by 10-27% on a 4-core Xeon.
 struct WasiInstance {
-  WasiInstance(wasi::WasiOptions options, wasi::VirtualFs& fs)
-      : ctx(std::move(options), fs) {}
-  wasi::WasiContext ctx;
+  WasiInstance() = default;
+  WasiInstance(const WasiInstance&) = delete;
+  WasiInstance& operator=(const WasiInstance&) = delete;
+
+  /// Drop the instance, its imports and its context, in that order.
+  void reset() {
+    instance.reset();
+    resolver = {};
+    ctx.reset();
+  }
+
+  std::optional<wasi::WasiContext> ctx;
+  wasm::ImportResolver resolver;
   std::unique_ptr<wasm::Instance> instance;
   /// Filled on the baseline tier: the real compile of this module.
   CompileMeasurement compile;
 };
 
-/// A pylite script after its top level ran: `interp` holds functions
-/// whose bodies live in `program`, so both stay together.
+/// A pylite script after its top level ran, built in place by run_python:
+/// `interp` holds functions whose bodies live in `program`.
 struct PythonInstance {
-  PythonInstance(pylite::Program p, pylite::InterpOptions options)
-      : program(std::move(p)), interp(std::move(options)) {}
-  pylite::Program program;
-  pylite::Interp interp;
+  void reset() {
+    interp.reset();
+    program.reset();
+  }
+
+  std::optional<pylite::Program> program;
+  std::optional<pylite::Interp> interp;
 };
 
-/// Parse `script` and run its top level under pylite — the Python twin
-/// of Engine::instantiate, shared by container start and cold serving.
-Result<std::unique_ptr<PythonInstance>> run_python(
-    std::string_view script, std::vector<std::string> argv,
-    std::vector<std::pair<std::string, std::string>> env);
+/// Parse `script` and run its top level under pylite into `out` — the
+/// Python twin of Engine::instantiate, shared by container start and cold
+/// serving. On failure `out` is left empty.
+Status run_python(std::string_view script,
+                  const std::vector<std::string>& argv,
+                  const std::vector<std::pair<std::string, std::string>>& env,
+                  PythonInstance& out);
 
 /// Default fuel budget for a container start: generous enough for every
 /// real workload, finite so no startup loop runs unbounded (§III-C item 3).
@@ -146,12 +166,13 @@ class Engine {
   [[nodiscard]] Tier tier() const noexcept;
 
   /// Decode + validate + (baseline tier) fetch the compiled artifact +
-  /// build the WASI context and its imports + instantiate, with `fuel`
-  /// capping executed instructions. Container start and cold serving
-  /// both stand their instances up here.
-  Result<std::unique_ptr<WasiInstance>> instantiate(
-      std::span<const uint8_t> module_bytes, wasi::WasiOptions wasi_options,
-      wasi::VirtualFs& fs, uint64_t fuel) const;
+  /// build the WASI context and its imports + instantiate into `out`, with
+  /// `fuel` capping executed instructions. Container start and cold
+  /// serving both stand their instances up here. On failure `out` holds no
+  /// context or instance.
+  Status instantiate(std::span<const uint8_t> module_bytes,
+                     wasi::WasiOptions wasi_options, wasi::VirtualFs& fs,
+                     uint64_t fuel, WasiInstance& out) const;
 
   /// instantiate() + run `_start`. The module actually executes (through
   /// the baseline bytecode when tier() is kBaseline); proc_exit(0) is

@@ -22,13 +22,13 @@ struct ServeSlot::State {
   std::vector<uint8_t> module_bytes;
   wasi::WasiOptions wasi_options;
   std::string export_name;
-  std::unique_ptr<WasiInstance> wasm;
+  WasiInstance wasm;
 
   // Python flavor.
   std::string script;
   std::vector<std::string> argv;
   std::vector<std::pair<std::string, std::string>> env;
-  std::unique_ptr<PythonInstance> python;
+  PythonInstance python;
 
   bool closed = false;
   bool busy = false;
@@ -112,7 +112,7 @@ void ServeSlot::close(Status reason) {
 }
 
 bool ServeSlot::warm() const noexcept {
-  return state_->wasm != nullptr || state_->python != nullptr;
+  return state_->wasm.instance != nullptr || state_->python.interp.has_value();
 }
 
 uint32_t ServeSlot::outstanding() const noexcept {
@@ -171,13 +171,12 @@ Result<InvokeReport> run_wasm_request(ServeSlot::State& s, int32_t arg,
                                       double& cpu_s) {
   InvokeReport rep;
   cpu_s = kInfra.invoke_overhead_cpu_s;
-  if (!s.wasm) {
+  if (!s.wasm.instance) {
     // Cold: stand up the serving instance inside the running container.
     // Baseline tier serves from the node's compiled artifact (memoized in
     // the Engine, shared with the startup path — no recompile here).
-    WASMCTR_ASSIGN_OR_RETURN(
-        s.wasm, s.engine->instantiate(s.module_bytes, s.wasi_options,
-                                      s.node->fs(), kRequestFuel));
+    WASMCTR_RETURN_IF_ERROR(s.engine->instantiate(
+        s.module_bytes, s.wasi_options, s.node->fs(), kRequestFuel, s.wasm));
     rep.cold = true;
     const double kib =
         static_cast<double>(s.module_bytes.size()) / 1024.0;
@@ -185,7 +184,7 @@ Result<InvokeReport> run_wasm_request(ServeSlot::State& s, int32_t arg,
              s.engine->profile().load_cpu_s_per_kib * kib;
   }
 
-  wasm::Instance& instance = *s.wasm->instance;
+  wasm::Instance& instance = *s.wasm.instance;
   instance.set_fuel(kRequestFuel);
   const uint64_t before = instance.instructions_retired();
   const uint32_t pages_before =
@@ -206,7 +205,7 @@ Result<InvokeReport> run_wasm_request(ServeSlot::State& s, int32_t arg,
   if (rep.cold) {
     rep.resident = Bytes(static_cast<uint64_t>(
         static_cast<double>(instance.resident_bytes() +
-                            s.wasm->ctx.resident_bytes()) *
+                            s.wasm.ctx->resident_bytes()) *
         s.engine->profile().instance_multiplier));
   } else if (instance.memory() != nullptr &&
              instance.memory()->pages() > pages_before) {
@@ -227,13 +226,13 @@ Result<InvokeReport> run_python_request(ServeSlot::State& s, int32_t arg,
                                         double& cpu_s) {
   InvokeReport rep;
   cpu_s = kInfra.invoke_overhead_cpu_s;
-  if (!s.python) {
-    WASMCTR_ASSIGN_OR_RETURN(s.python, run_python(s.script, s.argv, s.env));
+  if (!s.python.interp) {
+    WASMCTR_RETURN_IF_ERROR(run_python(s.script, s.argv, s.env, s.python));
     rep.cold = true;
     cpu_s += kInfra.python_handler_compile_cpu_s;
   }
 
-  pylite::Interp& interp = s.python->interp;
+  pylite::Interp& interp = *s.python.interp;
   interp.set_step_limit(interp.steps_executed() + kRequestStepBudget);
   const uint64_t before = interp.steps_executed();
   std::vector<pylite::PyValue> args;
@@ -250,7 +249,7 @@ Result<InvokeReport> run_python_request(ServeSlot::State& s, int32_t arg,
   if (rep.cold) {
     rep.resident = Bytes(static_cast<uint64_t>(
         static_cast<double>(interp.resident_bytes() +
-                            s.python->program.resident_bytes()) *
+                            s.python.program->resident_bytes()) *
         kPythonProfile.instance_multiplier));
   }
   return rep;

@@ -279,8 +279,7 @@ void OciRuntimeBase::launch_wasm(ContainerRecord& rec, OnRunning on_running) {
       rec.bundle.payload.size(), measured ? &*measured : nullptr);
   node_.obs().tracer.pod_phase(std::string(fault_target(rec)), "engine.load",
                                "engines");
-  const auto finish = [this, id = rec.info.id,
-                       on_running = std::move(on_running)] {
+  auto finish = [this, id = rec.info.id, on_running = std::move(on_running)] {
     auto it = containers_.find(id);
     if (it == containers_.end()) return;
     finish_wasm_launch(it->second, on_running);
@@ -289,7 +288,7 @@ void OciRuntimeBase::launch_wasm(ContainerRecord& rec, OnRunning on_running) {
     // Private compile (or none): one burst.
     node_.burst(extra_cpu_s + cost.init_cpu_s + cost.load_cpu_s +
                     cost.compile_cpu_s,
-                finish);
+                std::move(finish));
     return;
   }
   // Shared compile cache: the first starter compiles, concurrent ones wait
@@ -298,7 +297,8 @@ void OciRuntimeBase::launch_wasm(ContainerRecord& rec, OnRunning on_running) {
   const std::string key = std::to_string(measured->content_hash);
   const double cache_load_cpu_s = engine.profile().cache_load_cpu_s;
   const auto continue_with = [this, extra_cpu_s, init = cost.init_cpu_s,
-                              finish](double after_compile_cpu_s) {
+                              finish = std::move(finish)](
+                                 double after_compile_cpu_s) {
     node_.burst(extra_cpu_s + init + after_compile_cpu_s, finish);
   };
   switch (compile_cache_.lookup(key, [continue_with, cache_load_cpu_s] {
@@ -434,10 +434,12 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
     }
 
     // Parse + execute the script for real with pylite.
-    auto py = engines::run_python(rec.bundle.payload.script,
-                                  rec.bundle.spec.args, rec.bundle.spec.env);
-    if (!py) {
-      fail(rec, py.status(), on_running);
+    engines::PythonInstance py;
+    Status run_status = engines::run_python(
+        rec.bundle.payload.script, rec.bundle.spec.args, rec.bundle.spec.env,
+        py);
+    if (!run_status.is_ok()) {
+      fail(rec, std::move(run_status), on_running);
       return;
     }
 
@@ -453,8 +455,8 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
         proc->map_shared(libpython, engines::kPythonProfile.shared_lib);
     if (st.is_ok()) {
       const Bytes script_heap = Bytes(static_cast<uint64_t>(
-          static_cast<double>((*py)->interp.resident_bytes() +
-                              (*py)->program.resident_bytes()) *
+          static_cast<double>(py.interp->resident_bytes() +
+                              py.program->resident_bytes()) *
           engines::kPythonProfile.instance_multiplier));
       st = proc->add_anon(kInfra.process_base + process_residual() +
                           engines::kPythonProfile.private_fixed + script_heap);
@@ -470,8 +472,8 @@ void OciRuntimeBase::launch_python(ContainerRecord& rec,
     }
     rec.info.pid = *pid;
     rec.info.state = ContainerState::kRunning;
-    rec.info.stdout_data = (*py)->interp.stdout_data();
-    rec.info.instructions = (*py)->interp.steps_executed();
+    rec.info.stdout_data = py.interp->stdout_data();
+    rec.info.instructions = py.interp->steps_executed();
     if (on_running) on_running(Status::ok());
   });
 }

@@ -266,10 +266,10 @@ class RunwasiShim final : public OciRuntimeBase {
                                           engine),
                        std::string("containerd-shim-") +
                            engines::engine_name(engine)),
-        engine_(engine) {}
+        kind_(engine) {}
 
   [[nodiscard]] std::string name() const override {
-    return std::string("containerd-shim-") + engines::engine_name(engine_);
+    return std::string("containerd-shim-") + engines::engine_name(kind_);
   }
 
  protected:
@@ -285,7 +285,7 @@ class RunwasiShim final : public OciRuntimeBase {
   [[nodiscard]] bool shim_is_workload() const override { return true; }
 
  private:
-  engines::EngineKind engine_;
+  engines::EngineKind kind_;
 };
 
 }  // namespace wasmctr::oci
